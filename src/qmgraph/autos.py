@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .graphs import GraphError, LabeledGraph, connected_components
 from .words import NormalWord
@@ -63,6 +63,8 @@ def validate_gen(g: LabeledGraph, gen: AutGen) -> tuple[bool, str]:
         return True, ""
     if isinstance(gen, FactorAut):
         v, m = gen.vertex, gen.m
+        if not 0 <= v < g.n:
+            return False, f"vertex {v} not in V"
         order = g.labels[v].order
         if order is None:
             if m not in (1, -1):
@@ -142,6 +144,46 @@ def apply(gen_or_word: Union[AutGen, AutWord], x: NormalWord) -> NormalWord:
     return apply_gen(gen_or_word, x)
 
 
+def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
+                          Y: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Label-preserving isomorphisms of the induced subgraphs on X and Y.
+
+    Each is yielded as the tuple of images of sorted(X), by backtracking
+    in lexicographic order of that tuple; candidates whose label or
+    degree in the induced subgraph differs are pruned.
+    """
+    xs, ys = sorted(X), sorted(Y)
+    n = len(xs)
+    if n != len(ys):
+        return
+    xmask = sum(1 << v for v in xs)
+    ymask = sum(1 << t for t in ys)
+    xkey = [(g.labels[v], bin(g.adj[v] & xmask).count("1")) for v in xs]
+    ykey = [(g.labels[t], bin(g.adj[t] & ymask).count("1")) for t in ys]
+    adj = g.adj
+    image = [-1] * n  # image[i]: the image of xs[i]
+    used = [False] * n  # by position in ys
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(image)
+            return
+        key, av = xkey[i], adj[xs[i]]
+        for j, t in enumerate(ys):
+            if used[j] or ykey[j] != key:
+                continue
+            at = adj[t]
+            if any((av >> xs[k] ^ at >> image[k]) & 1 for k in range(i)):
+                continue
+            image[i] = t
+            used[j] = True
+            yield from extend(i + 1)
+            used[j] = False
+        image[i] = -1
+
+    yield from extend(0)
+
+
 def enum_labelled_graph_autos(g: LabeledGraph,
                               max_vertices: int = 16) -> list[LabelledGraphAut]:
     """All label-preserving graph automorphisms, by backtracking.
@@ -152,30 +194,8 @@ def enum_labelled_graph_autos(g: LabeledGraph,
         raise GraphError("enumeration is defined on expanded graphs")
     if g.n > max_vertices:
         raise GraphError(f"vertex bound exceeded ({g.n} > {max_vertices})")
-    n = g.n
-    degrees = [bin(g.adj[v]).count("1") for v in range(n)]
-    out: list[LabelledGraphAut] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def backtrack(v: int):
-        if v == n:
-            out.append(LabelledGraphAut(tuple(image)))
-            return
-        for t in range(n):
-            if used[t] or g.labels[v] != g.labels[t] or degrees[v] != degrees[t]:
-                continue
-            if any(g.adjacent(v, u) != g.adjacent(t, image[u])
-                   for u in range(v)):
-                continue
-            image[v] = t
-            used[t] = True
-            backtrack(v + 1)
-            used[t] = False
-        image[v] = -1
-
-    backtrack(0)
-    return out
+    V = range(g.n)
+    return [LabelledGraphAut(p) for p in labelled_isomorphisms(g, V, V)]
 
 
 def valid_aut0_gens(g: LabeledGraph) -> list[AutGen]:
@@ -188,9 +208,10 @@ def valid_aut0_gens(g: LabeledGraph) -> list[AutGen]:
         else:
             gens.extend(FactorAut(v, m) for m in range(2, order)
                         if math.gcd(m, order) == 1)
+    down = g.tau_down
     for v in range(g.n):
         for w in range(g.n):
-            if v != w and g.leq_tau(v, w):
+            if v != w and down[w] >> v & 1:
                 gens.append(Transvection(v, w))
     for v in range(g.n):
         rest = set(range(g.n)) - g.star(v)

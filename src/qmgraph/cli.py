@@ -54,11 +54,7 @@ def _load_graph(path: str) -> LabeledGraph:
 
 
 def _vset(g: LabeledGraph, arg: str):
-    try:
-        return g.vertex_set(s for s in arg.split(",") if s)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(MATH_ERR)
+    return g.vertex_set(s for s in arg.split(",") if s)
 
 
 def _ztuple(arg: str):
@@ -175,11 +171,7 @@ def _cmd_cones(args):
 
 def _cmd_decide(args):
     g = _load_graph(args.file)
-    try:
-        verdict = decide_raag(g) if args.raag else decide(g)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MATH_ERR
+    verdict = decide_raag(g) if args.raag else decide(g)
     if args.json:
         doc = {"status": verdict.status, "trace": verdict.trace}
         if verdict.witness is not None:
@@ -250,7 +242,7 @@ def _cmd_scl(args):
             d = estimate_defect(e, args.samples, args.max_len,
                                        args.seed)
         bound, mode = scl_aut_lower_bound(e, x, d)
-    except (GraphError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_ERR
     if args.json:
@@ -377,7 +369,13 @@ def main(argv=None) -> int:
 
     args = top.parse_args(argv)
     # `homog` is eval without averaging; argparse stores avg=False default
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GraphError as exc:
+        # graph preconditions and size caps; parse errors have already
+        # exited with PARSE_ERR in _load_graph
+        print(f"error: {exc}", file=sys.stderr)
+        return MATH_ERR
 
 
 if __name__ == "__main__":

@@ -7,12 +7,14 @@ partition, evaluator kind) that the evaluator module accepts as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import evaluators as ev
-from .graphs import (GraphError, LabeledGraph, connected_components, expand,
-                     is_lower_cone, tau_classes, FREE, FREE_ABELIAN)
+from .evaluators import _single_z, _single_z2
+from .graphs import (GraphError, LabeledGraph, TauClassification,
+                     connected_components, expand, is_lower_cone,
+                     lower_cone_L, tau_classes, FREE)
 from .words import NormalWord, parse_word
 
 FINITE = "Finite"
@@ -45,14 +47,6 @@ def _names(g: LabeledGraph, X) -> str:
     return "{" + ",".join(g.names_of(X)) + "}"
 
 
-def _single_z(g: LabeledGraph, S: frozenset[int]) -> bool:
-    return len(S) == 1 and g.labels[next(iter(S))].is_infinite
-
-
-def _single_z2(g: LabeledGraph, S: frozenset[int]) -> bool:
-    return len(S) == 1 and g.labels[next(iter(S))].order == 2
-
-
 def _sorted_sets(sets) -> list[frozenset[int]]:
     return sorted(sets, key=lambda s: sorted(s))
 
@@ -77,6 +71,28 @@ def _kind_for_pair(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
     return (A, B, ev.Code(side, z))
 
 
+_SPLIT = ": cone {cone} splits as {A} * {B} ({kind})"
+
+
+def _checked_spec(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
+                  kind: ev.Kind, trace: list[str],
+                  line: str) -> Optional[WitnessSpec]:
+    """The spec for (A, B, kind) if A | B is a lower cone and the evaluator
+    builds, else None.  On success `line`, formatted with the fields cone,
+    A, B (vertex names), nA, nB (side sizes) and kind, goes on the trace."""
+    cone = A | B
+    if not is_lower_cone(g, cone):
+        return None
+    try:
+        ev.build(g, cone, (A, B), kind)
+    except ev.BuildError:
+        return None
+    trace.append(line.format(cone=_names(g, cone), A=_names(g, A),
+                             B=_names(g, B), nA=len(A), nB=len(B),
+                             kind=type(kind).__name__))
+    return WitnessSpec(cone, (A, B), kind)
+
+
 def _try_pairs(g: LabeledGraph, factors, trace: list[str],
                rule: str) -> Optional[WitnessSpec]:
     """Search ordered factor pairs for a constructive, lower-cone spec."""
@@ -86,30 +102,22 @@ def _try_pairs(g: LabeledGraph, factors, trace: list[str],
             picked = _kind_for_pair(g, factors[i], factors[j])
             if picked is None:
                 continue
-            A, B, kind = picked
-            cone = A | B
-            if not is_lower_cone(g, cone):
-                continue
-            try:
-                ev.build(g, cone, (A, B), kind)
-            except ev.BuildError:
-                continue
-            trace.append(f"{rule}: cone {_names(g, cone)} splits as "
-                         f"{_names(g, A)} * {_names(g, B)} "
-                         f"({type(kind).__name__})")
-            return WitnessSpec(cone, (A, B), kind)
+            spec = _checked_spec(g, *picked, trace, rule + _SPLIT)
+            if spec is not None:
+                return spec
     return None
 
 
-def _minimal_class_in(g: LabeledGraph, X: frozenset[int]) -> frozenset[int]:
-    """Lexicographically least minimal ~_tau class of the induced graph on X,
-    mapped back to original vertex indices."""
+def _classes_in(g: LabeledGraph, X: frozenset[int]
+                ) -> tuple[TauClassification, list[frozenset[int]]]:
+    """The ~_tau classification of the graph induced on X, its classes
+    mapped back to g's vertex indices, and its minimal classes in
+    lexicographic order."""
     idxs = sorted(X)
-    h = g.induced(X)
-    tc = tau_classes(h)
-    mins = [frozenset(idxs[v] for v in tc.classes[i])
-            for i in tc.minimal_classes()]
-    return _sorted_sets(mins)[0]
+    tc = tau_classes(g.induced(X))
+    tc = replace(tc, classes=tuple(frozenset(idxs[v] for v in c)
+                                   for c in tc.classes))
+    return tc, _sorted_sets(tc.classes[i] for i in tc.minimal_classes())
 
 
 def _pair_from_claim(g: LabeledGraph, factors, trace: list[str],
@@ -125,29 +133,21 @@ def _pair_from_claim(g: LabeledGraph, factors, trace: list[str],
             Fa, Fb = factors[i], factors[j]
             if _single_z2(g, Fa) and _single_z2(g, Fb):
                 continue
-            A = Fa if len(Fa) == 1 else _minimal_class_in(g, Fa)
-            B = Fb if len(Fb) == 1 else _minimal_class_in(g, Fb)
+            A = Fa if len(Fa) == 1 else _classes_in(g, Fa)[1][0]
+            B = Fb if len(Fb) == 1 else _classes_in(g, Fb)[1][0]
             if _single_z2(g, A) and _single_z2(g, B):
                 # one factor has a second vertex; use it whole as side B
                 if len(Fb) > 1:
-                    cand = [(A, Fb, ev.Code("B", DEFAULT_Z))]
+                    picked = (A, Fb, ev.Code("B", DEFAULT_Z))
                 else:
-                    cand = [(B, Fa, ev.Code("B", DEFAULT_Z))]
+                    picked = (B, Fa, ev.Code("B", DEFAULT_Z))
             else:
                 picked = _kind_for_pair(g, A, B)
-                cand = [picked] if picked else []
-            for A2, B2, kind in cand:
-                cone = A2 | B2
-                if not is_lower_cone(g, cone):
-                    continue
-                try:
-                    ev.build(g, cone, (A2, B2), kind)
-                except ev.BuildError:
-                    continue
-                trace.append(f"{rule}: cone {_names(g, cone)} splits as "
-                             f"{_names(g, A2)} * {_names(g, B2)} "
-                             f"({type(kind).__name__})")
-                return WitnessSpec(cone, (A2, B2), kind)
+            if picked is None:
+                continue
+            spec = _checked_spec(g, *picked, trace, rule + _SPLIT)
+            if spec is not None:
+                return spec
     return None
 
 
@@ -182,37 +182,22 @@ def _decide_free_product(g: LabeledGraph, trace: list[str]) -> Verdict:
 
 def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
     X = frozenset(range(g.n))
-    peeled: list[str] = []
     zk_sizes: list[int] = []
     while X:
-        idxs = sorted(X)
-        h = g.induced(X)
-        back = {hv: idxs[hv] for hv in range(h.n)}
-        if h.is_complete():
-            peeled.append("finite")
+        xmask = sum(1 << v for v in X)
+        full = [v for v in sorted(X) if (g.adj[v] | 1 << v) & xmask == xmask]
+        if len(full) == len(X):
             trace.append(f"{_names(g, X)} is complete: finite abelian factor")
-            X = frozenset()
             break
-        full = [v for v in range(h.n)
-                if h.adj[v] | 1 << v == h.full_mask]
+        tc, mins = _classes_in(g, X)
         if full:
-            tc = tau_classes(h)
-            cls = tc.class_of(full[0])
-            M = frozenset(back[v] for v in tc.classes[cls])
-            peeled.append("finite")
+            M = tc.classes[tc.class_of(full[0])]
             trace.append(f"full-star class {_names(g, M)} peeled as a "
                          "finite abelian direct factor")
             X = X - M
             continue
-        tc = tau_classes(h)
-        mins = _sorted_sets(frozenset(back[v] for v in tc.classes[i])
-                            for i in tc.minimal_classes())
         M = mins[0]
-        mstar = set(M)
-        for v in M:
-            mstar |= {back[w] for w in
-                      range(h.n) if h.adjacent(idxs.index(v), w)}
-        LM = frozenset(v for v in X if v not in mstar)
+        LM = X & lower_cone_L(g, M)
         comps = connected_components(g, LM)
         factors = [M] + comps
         trace.append(f"minimal class {_names(g, M)} with "
@@ -225,16 +210,10 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
             return Verdict(UNKNOWN, None, trace, g)
         # M = {x} and every component of L_M is a single Z/2 vertex
         rest = X - (M | LM)
-        pivot = None
-        for y in sorted(LM):
-            bad = [z for z in sorted(rest)
-                   if not g.adjacent(z, y)]
-            if bad:
-                pivot = (y, bad[0])
-                break
-        if pivot is not None:
-            y, z = pivot
-            Ly = frozenset(v for v in X if v != y and not g.adjacent(v, y))
+        y = next((y for y in sorted(LM)
+                  if any(not g.adjacent(z, y) for z in rest)), None)
+        if y is not None:
+            Ly = X & lower_cone_L(g, frozenset({y}))
             trace.append(f"pivot vertex {g.names[y]}: "
                          f"L_y = {_names(g, Ly)} contains an edge")
             spec = _pair_from_claim(g, [frozenset({y})]
@@ -308,30 +287,18 @@ def _raag_abelian_classes(g: LabeledGraph,
     X = frozenset(range(g.n))
     f2_seen = False
     while X:
-        idxs = sorted(X)
-        h = g.induced(X)
-        if h.is_complete():
+        if g.induced(X).is_complete():
             break
-        back = {hv: idxs[hv] for hv in range(h.n)}
-        tc = tau_classes(h)
-        mins = _sorted_sets(frozenset(back[v] for v in tc.classes[i])
-                            for i in tc.minimal_classes())
+        tc, mins = _classes_in(g, X)
         progressed = False
         for M in mins:
-            mstar = set(M)
-            for v in M:
-                mstar |= {back[w] for w in range(h.n)
-                          if h.adjacent(idxs.index(v), w)}
-            LM = frozenset(v for v in X if v not in mstar)
+            LM = X & lower_cone_L(g, M)
             if not LM:
                 continue
+            inside = [i for i, c in enumerate(tc.classes) if c <= LM]
             l_classes = _sorted_sets(
-                frozenset(back[v] for v in tc.classes[i])
-                for i in range(len(tc.classes))
-                if all(back[v] in LM for v in tc.classes[i])
-                and not any(tc.leq[(j, i)] for j in range(len(tc.classes))
-                            if j != i and all(back[v] in LM
-                                              for v in tc.classes[j])))
+                tc.classes[i] for i in inside
+                if not any(tc.leq[(j, i)] for j in inside if j != i))
             for N in l_classes:
                 if len(M) == 1 and len(N) == 1:
                     if is_lower_cone(g, M | N):
@@ -340,19 +307,11 @@ def _raag_abelian_classes(g: LabeledGraph,
                 picked = _kind_for_pair(g, M, N)
                 if picked is None:
                     continue
-                A, B, kind = picked
-                cone = A | B
-                if not is_lower_cone(g, cone):
-                    continue
-                try:
-                    ev.build(g, cone, (A, B), kind)
-                except ev.BuildError:
-                    continue
-                trace.append(f"minimal pair cone {_names(g, cone)}: "
-                             f"Z^{len(A)} * Z^{len(B)} "
-                             f"({type(kind).__name__})")
-                return Verdict(EXISTS_CONSTRUCTIVE,
-                               WitnessSpec(cone, (A, B), kind), trace, g)
+                spec = _checked_spec(g, *picked, trace,
+                                     "minimal pair cone {cone}: "
+                                     "Z^{nA} * Z^{nB} ({kind})")
+                if spec is not None:
+                    return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
             progressed = True
         if not progressed:
             # every minimal class commutes with the rest; peel it

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import codes
-from .autos import LabelledGraphAut, apply_gen, enum_labelled_graph_autos
+from .autos import (LabelledGraphAut, apply_gen, enum_labelled_graph_autos,
+                    labelled_isomorphisms)
 from .codes import HomogValue, homogenise, is_generic
 from .graphs import LabeledGraph, connected_components, is_lower_cone
 from .words import NormalWord, retraction
@@ -47,37 +48,14 @@ Kind = Union[Code, WeightedZ, SumBothSides]
 def labeled_isomorphic(g: LabeledGraph, X: frozenset[int],
                        Y: frozenset[int]) -> bool:
     """Label-preserving isomorphism of the induced subgraphs on X and Y."""
-    xs, ys = sorted(X), sorted(Y)
-    if len(xs) != len(ys):
-        return False
-    if sorted(str(g.labels[v]) for v in xs) != sorted(
-            str(g.labels[v]) for v in ys):
-        return False
-
-    def backtrack(i: int, image: dict[int, int]) -> bool:
-        if i == len(xs):
-            return True
-        v = xs[i]
-        for t in ys:
-            if t in image.values() or g.labels[v] != g.labels[t]:
-                continue
-            if any(g.adjacent(v, u) != g.adjacent(t, image[u])
-                   for u in image):
-                continue
-            image[v] = t
-            if backtrack(i + 1, image):
-                return True
-            del image[v]
-        return False
-
-    return backtrack(0, {})
+    return next(labelled_isomorphisms(g, X, Y), None) is not None
 
 
-def _is_single_z(g: LabeledGraph, S: frozenset[int]) -> bool:
+def _single_z(g: LabeledGraph, S: frozenset[int]) -> bool:
     return len(S) == 1 and g.labels[next(iter(S))].is_infinite
 
 
-def _is_single_z2(g: LabeledGraph, S: frozenset[int]) -> bool:
+def _single_z2(g: LabeledGraph, S: frozenset[int]) -> bool:
     return len(S) == 1 and g.labels[next(iter(S))].order == 2
 
 
@@ -166,8 +144,8 @@ def build(graph: LabeledGraph, cone: frozenset[int],
         raise BuildError("side must be A or B")
 
     if not unchecked:
-        az = _is_single_z(graph, A)
-        bz = _is_single_z(graph, B)
+        az = _single_z(graph, A)
+        bz = _single_z(graph, B)
         if az and bz:
             raise BuildError("non-constructive base (F2)")
         for name, S in (("A", A), ("B", B)):
@@ -187,14 +165,14 @@ def build(graph: LabeledGraph, cone: frozenset[int],
             if labeled_isomorphic(graph, A, B):
                 raise BuildError("sides isomorphic; use SumBothSides")
             side = A if kind.side == "A" else B
-            if _is_single_z2(graph, side):
+            if _single_z2(graph, side):
                 raise BuildError("chosen side must not be Z/2")
         elif isinstance(kind, SumBothSides):
             if az or bz:
                 raise BuildError("SumBothSides needs both sides non-Z")
             if not labeled_isomorphic(graph, A, B):
                 raise BuildError("sides not isomorphic; use Code")
-            if _is_single_z2(graph, A):
+            if _single_z2(graph, A):
                 raise BuildError("sides must not be Z/2 (D-infinity base)")
     return Evaluator(graph, cone, (A, B), kind, homog_params,
                      averaged=False, defect_estimate=defect_estimate,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -175,20 +176,38 @@ class LabeledGraph:
         self._check(w)
         return (self.adj[v] | 1 << v) & ~(self.adj[w] | 1 << w) == 0
 
+    @cached_property
+    def tau_down(self) -> tuple[int, ...]:
+        """tau_down[w]: bitmask of every v with v <=_tau w.
+
+        v <=_tau w when v = w, when v has infinite order and
+        lk(v) is contained in st(w), or when v and w have finite orders
+        that are powers of the same prime and st(v) is contained in
+        st(w).  Built on first use; the graph is immutable.
+        """
+        if not self.is_expanded():
+            raise GraphError("<=_tau requires an expanded graph")
+        stars = [self.adj[v] | 1 << v for v in range(self.n)]
+        down = []
+        for w, gw in enumerate(self.labels):
+            mask = 1 << w
+            for v, gv in enumerate(self.labels):
+                if gv.is_infinite:
+                    below = self.adj[v] & ~stars[w] == 0
+                else:
+                    below = (gv.prime == gw.prime
+                             and stars[v] & ~stars[w] == 0)
+                if below:
+                    mask |= 1 << v
+            down.append(mask)
+        return tuple(down)
+
     def leq_tau(self, v: int, w: int) -> bool:
         """The dominated-transvection preorder (reflexive by convention)."""
-        if not self.is_expanded():
-            raise GraphError("leq_tau requires an expanded graph")
+        down = self.tau_down
         self._check(v)
         self._check(w)
-        if v == w:
-            return True
-        gv, gw = self.labels[v], self.labels[w]
-        if gv.is_infinite:
-            return self.leq(v, w)
-        if gw.is_infinite or gv.prime != gw.prime:
-            return False
-        return self.leq_s(v, w)
+        return bool(down[w] >> v & 1)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -304,10 +323,9 @@ class TauClassification:
 
 def tau_classes(g: LabeledGraph) -> TauClassification:
     """~_tau classes, the induced order, and each class's group type."""
-    if not g.is_expanded():
-        raise GraphError("tau_classes requires an expanded graph")
     n = g.n
-    rel = [[g.leq_tau(v, w) for w in range(n)] for v in range(n)]
+    down = g.tau_down
+    rel = [[bool(down[w] >> v & 1) for w in range(n)] for v in range(n)]
     assigned = [-1] * n
     classes: list[frozenset[int]] = []
     for v in range(n):
@@ -357,13 +375,13 @@ def tau_classes(g: LabeledGraph) -> TauClassification:
 
 def is_lower_cone(g: LabeledGraph, X: frozenset[int]) -> bool:
     """True iff X is downward closed under <=_tau."""
-    if any(v >= g.n or v < 0 for v in X):
-        raise GraphError("vertex set not contained in V")
-    for t in X:
-        for s in range(g.n):
-            if s not in X and g.leq_tau(s, t):
-                return False
-    return True
+    mask = 0
+    for v in X:
+        if not 0 <= v < g.n:
+            raise GraphError("vertex set not contained in V")
+        mask |= 1 << v
+    down = g.tau_down
+    return all(down[t] & ~mask == 0 for t in X)
 
 
 def lower_cone_L(g: LabeledGraph, M: frozenset[int]) -> frozenset[int]:

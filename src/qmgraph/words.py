@@ -192,18 +192,6 @@ class NormalWord:
         return y * self * y.inverse()
 
 
-def multiply(x: NormalWord, y: NormalWord) -> NormalWord:
-    return x * y
-
-
-def invert(x: NormalWord) -> NormalWord:
-    return x.inverse()
-
-
-def power(x: NormalWord, n: int) -> NormalWord:
-    return x ** n
-
-
 # -- parsing and printing ----------------------------------------------------
 
 def parse_word(g: LabeledGraph, text: str) -> NormalWord:

@@ -1,13 +1,16 @@
 """Automorphism generators: validation, action, and enumeration."""
 
 import itertools
+import random
 
 import pytest
 
 from qmgraph.autos import (AutError, AutWord, FactorAut, LabelledGraphAut,
                            PartialConj, Transvection, apply, apply_gen,
-                           enum_labelled_graph_autos, random_aut0,
+                           enum_labelled_graph_autos,
+                           labelled_isomorphisms, random_aut0,
                            valid_aut0_gens, validate_gen)
+from qmgraph.evaluators import labeled_isomorphic
 from qmgraph.graphs import expand, parse_graph, tau_classes
 from qmgraph.words import NormalWord, parse_word, random_word
 
@@ -41,6 +44,29 @@ def test_lga_enumeration_counts(graph, count):
         assert ok, reason
 
 
+def test_labelled_isomorphisms_match_brute_force():
+    rng = random.Random(7)
+    n = 6
+    for _ in range(100):
+        g = expand(parse_graph(
+            "".join(f"vertex v{i} {rng.choice(['Z', 'Z/2'])}\n"
+                    for i in range(n))
+            + "".join(f"edge v{i} v{j}\n" for i in range(n)
+                      for j in range(i + 1, n) if rng.random() < 0.4)))
+        for k in range(1, 5):
+            xs = sorted(rng.sample(range(n), k))
+            ys = sorted(rng.sample(range(n), k))
+            want = [p for p in itertools.permutations(ys)
+                    if all(g.labels[v] == g.labels[t]
+                           for v, t in zip(xs, p))
+                    and all(g.adjacent(xs[a], xs[b])
+                            == g.adjacent(p[a], p[b])
+                            for a in range(k) for b in range(a + 1, k))]
+            assert list(labelled_isomorphisms(g, xs, ys)) == want
+            assert labeled_isomorphic(g, frozenset(xs),
+                                      frozenset(ys)) == bool(want)
+
+
 def test_lga_enumeration_vertex_bound():
     g = expand(edgeless(["Z/2"] * 3))
     from qmgraph.graphs import GraphError
@@ -62,6 +88,12 @@ def test_factor_aut_validation():
     assert not validate_gen(g, FactorAut(0, 2))[0]   # gcd(2,4) != 1
     assert validate_gen(g, FactorAut(1, -1))[0]
     assert not validate_gen(g, FactorAut(1, 2))[0]   # infinite order needs +-1
+
+
+def test_factor_aut_rejects_vertex_outside_graph(z5z3):
+    for v in (-1, 2, 5):
+        ok, reason = validate_gen(z5z3, FactorAut(v, 2))
+        assert not ok and "not in V" in reason
 
 
 def test_transvection_validation():

@@ -205,6 +205,40 @@ def test_partition_edge_is_exit_3(capsys, tmp_path):
     assert "edge between partition sides" in err
 
 
+def _write(tmp_path, name, lines):
+    p = tmp_path / name
+    p.write_text("\n".join(lines) + "\n")
+    return str(p)
+
+
+def test_size_caps_are_exit_3(capsys, tmp_path):
+    path17 = _write(tmp_path, "path17.graph",
+                    [f"vertex v{i} Z/2" for i in range(17)]
+                    + [f"edge v{i} v{i + 1}" for i in range(16)])
+    for command in ("autos", "cones"):
+        code, _, err = run(capsys, command, path17)
+        assert code == 3, command
+        assert err == "error: vertex bound exceeded (17 > 16)\n"
+    free17 = _write(tmp_path, "free17.graph",
+                    ["vertex a Z/5", "vertex b Z/3"]
+                    + [f"vertex v{i} Z/2" for i in range(15)])
+    code, _, err = run(capsys, "eval", free17, "--avg", "--word", "a",
+                       "--cone", "a,b", "--partA", "a", "--partB", "b")
+    assert code == 3
+    assert err == "error: vertex bound exceeded (17 > 16)\n"
+
+
+def test_witness_on_too_many_classes_is_exit_3(capsys, tmp_path):
+    mixed21 = _write(tmp_path, "mixed21.graph",
+                     [f"vertex v{i} {'Z' if i % 2 == 0 else 'Z/2'}"
+                      for i in range(21)]
+                     + [f"edge v{i} v{i + 1}" for i in range(20)])
+    for command in ("decide", "witness"):
+        code, _, err = run(capsys, command, mixed21)
+        assert code == 3, command
+        assert err == "error: too many ~_tau classes to enumerate cones\n"
+
+
 # -- corpus runner ------------------------------------------------------------
 
 def test_examples_bundled_corpus(capsys):

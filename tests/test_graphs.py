@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmgraph.graphs import (GraphError, LabeledGraph, Z, center_support,
                             connected_components,
@@ -137,3 +140,71 @@ def test_tau_requires_expanded():
     g = parse_graph("vertex a Z/6")
     with pytest.raises(GraphError):
         tau_classes(g)
+
+
+# -- the <=_tau table against its definition --------------------------------
+
+LABELS = ["Z", "Z/2", "Z/3", "Z/4", "Z/6"]
+
+
+@st.composite
+def expanded_graphs(draw):
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=7))
+    # Z/6 expands to two vertices; keep the expanded graph at <= 7
+    while sum(2 if lab == "Z/6" else 1 for lab in labels) > 7:
+        labels.pop()
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    text = "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labels))
+    text += "".join(f"edge v{i} v{j}\n" for i, j in edges)
+    return expand(parse_graph(text))
+
+
+def reference_leq_tau(g, v, w):
+    """v <=_tau w from the definition: for Z-labelled v, lk(v) is in st(w);
+    for finite v, w has the same prime and st(v) is in st(w)."""
+    if v == w:
+        return True
+    link = {u for u in range(g.n) if g.adjacent(v, u)}
+    star_v = link | {v}
+    star_w = {u for u in range(g.n) if g.adjacent(w, u)} | {w}
+    gv, gw = g.labels[v], g.labels[w]
+    if gv.is_infinite:
+        return link <= star_w
+    return not gw.is_infinite and gv.prime == gw.prime and star_v <= star_w
+
+
+@settings(max_examples=150, deadline=None)
+@given(expanded_graphs())
+def test_tau_table_matches_definition(g):
+    for v in range(g.n):
+        for w in range(g.n):
+            want = reference_leq_tau(g, v, w)
+            assert g.leq_tau(v, w) == want
+            assert bool(g.tau_down[w] >> v & 1) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(expanded_graphs())
+def test_is_lower_cone_matches_brute_force(g):
+    for r in range(g.n + 1):
+        for X in itertools.combinations(range(g.n), r):
+            want = all(s in X for t in X for s in range(g.n)
+                       if reference_leq_tau(g, s, t))
+            assert is_lower_cone(g, frozenset(X)) == want
+
+
+def test_tau_table_checks_indices_and_expansion():
+    g = expand(path_graph(["Z/2", "Z"]))
+    for v, w in ((-1, 0), (0, 2), (2, 0)):
+        with pytest.raises(GraphError):
+            g.leq_tau(v, w)
+    with pytest.raises(GraphError):
+        is_lower_cone(g, frozenset({2}))
+    raw = parse_graph("vertex a Z/6\nvertex b Z\nedge a b")
+    for check in (lambda: raw.leq_tau(0, 1), lambda: raw.tau_down,
+                  lambda: is_lower_cone(raw, frozenset({0})),
+                  lambda: tau_classes(raw)):
+        with pytest.raises(GraphError, match="expanded"):
+            check()
