@@ -66,12 +66,7 @@ def _ztuple(arg: str):
     return z
 
 
-def _default_max_n() -> int:
-    env = os.environ.get("QMGRAPH_MAX_N")
-    return int(env) if env else 64
-
-
-def _add_eval_flags(p):
+def _add_eval_flags(p, avg=True):
     p.add_argument("--cone", required=True, help="comma-separated vertices")
     p.add_argument("--partA", required=True, help="side A vertices")
     p.add_argument("--partB", required=True, help="side B vertices")
@@ -80,10 +75,11 @@ def _add_eval_flags(p):
     p.add_argument("--side", choices=["A", "B"], default="A",
                    help="code side (default A)")
     p.add_argument("--z", default="1,2,3", help="generic pattern (default 1,2,3)")
-    p.add_argument("--avg", action="store_true",
-                   help="average over labelled graph automorphisms")
+    if avg:
+        p.add_argument("--avg", action="store_true",
+                       help="average over labelled graph automorphisms")
     p.add_argument("--max-n", type=int, default=None,
-                   help=f"homogenisation depth (default {_default_max_n()})")
+                   help="homogenisation depth (default $QMGRAPH_MAX_N or 64)")
     p.add_argument("--max-period", type=int, default=8,
                    help="period search bound (default 8)")
 
@@ -96,10 +92,15 @@ def _build_from_flags(g: LabeledGraph, args) -> Evaluator:
         kind = WeightedZ(z)
     else:
         kind = SumBothSides(z)
-    max_n = args.max_n if args.max_n is not None else _default_max_n()
-    if max_n < 2:
-        print("error: max_n must be >= 2", file=sys.stderr)
-        raise SystemExit(MATH_ERR)
+    max_n = args.max_n
+    if max_n is None:
+        env = os.environ.get("QMGRAPH_MAX_N")
+        try:
+            max_n = int(env) if env else 64
+        except ValueError:
+            print(f"error: QMGRAPH_MAX_N must be an integer, not {env!r}",
+                  file=sys.stderr)
+            raise SystemExit(USAGE_ERR)
     try:
         e = build(g, _vset(g, args.cone),
                      (_vset(g, args.partA), _vset(g, args.partB)), kind,
@@ -223,7 +224,11 @@ def _cmd_witness(args):
 def _cmd_defect(args):
     g = expand(_load_graph(args.file))
     e = _build_from_flags(g, args)
-    d = estimate_defect(e, args.samples, args.max_len, args.seed)
+    try:
+        d = estimate_defect(e, args.samples, args.max_len, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return MATH_ERR
     print(f"defect>={_fmt(d.empirical_max)} samples={d.samples} "
           f"skipped={d.skipped}{' vacuous' if d.vacuous else ''}")
     return 0
@@ -333,10 +338,8 @@ def main(argv=None) -> int:
                            "homogenised unaveraged value")
         p.add_argument("file")
         p.add_argument("--word", required=True)
-        _add_eval_flags(p)
+        _add_eval_flags(p, avg=name == "eval")
         p.add_argument("--json", action="store_true")
-        if name == "homog":
-            p.set_defaults(avg=False)
         p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("witness", help="decide and emit a witness word")
@@ -368,7 +371,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_examples)
 
     args = top.parse_args(argv)
-    # `homog` is eval without averaging; argparse stores avg=False default
     try:
         return args.fn(args)
     except GraphError as exc:

@@ -142,6 +142,10 @@ def build(graph: LabeledGraph, cone: frozenset[int],
         raise BuildError(f"pattern {z} is not generic")
     if isinstance(kind, Code) and kind.side not in ("A", "B"):
         raise BuildError("side must be A or B")
+    max_n, max_period = homog_params
+    if max_n < 2 or max_period < 1:
+        raise BuildError("homogenisation needs max_n >= 2 and "
+                         "max_period >= 1")
 
     if not unchecked:
         az = _single_z(graph, A)

@@ -88,6 +88,10 @@ def estimate_defect(e: Evaluator, samples: int, max_len: int,
     the evaluator's cone.  Only exact evaluations contribute; pairs with
     an approximate term are skipped and counted.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     if samples == 0:
         return DefectEstimate(Fraction(0), 0, max_len, seed, vacuous=True)
     rng = random.Random(seed)

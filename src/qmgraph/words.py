@@ -2,16 +2,36 @@
 
 Elements are kept in a canonical normal form: a merge-free sequence of
 letters (vertex, exponent) that is the lexicographically least shuffle
-representative under the commutation moves of the graph.  Equality of
-group elements is equality of letter sequences.
+representative under the commutation moves of the graph, i.e. the
+lexicographic normal form of a trace (Anisimov & Knuth 1979; Diekert &
+Rozenberg, *The Book of Traces*, ch. 1-2).  Equality of group elements
+is equality of letter sequences.
+
+Every normal form is built by pushing letters (v, e) one at a time onto
+the right end of a sequence already in normal form:
+
+- reduce e modulo the order of v; if it is 0, do nothing;
+- walk back from the end while the letters are adjacent to v;
+- if the walk meets a letter of vertex v, add e to its exponent and
+  delete it if the sum is 0;
+- otherwise the walk stopped at p0, just after the last letter that does
+  not commute with v: insert (v, e) before the first letter from p0 on
+  whose vertex is greater than v.
+
+This is enough, for two reasons.  A deleted letter commutes with every
+letter after it, so removing it cannot bring two other letters of one
+vertex together: the result is merge-free.  And the insertion point is
+where greedy lex-least emission would place the new letter; it has no
+successors, so the order of the old letters does not change.  A push
+costs the length of the walk plus the list insertion.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graphs import GraphError, LabeledGraph
+from .graphs import LabeledGraph
 
 
 class WordError(ValueError):
@@ -29,55 +49,33 @@ def _norm_exp(g: LabeledGraph, v: int, e: int) -> int:
     return e % order
 
 
-def _reduce(g: LabeledGraph, letters: list[Letter]) -> list[Letter]:
-    """Merge letters of equal vertex separated only by commuting letters.
+def _canonical(g: LabeledGraph, letters: Iterable[Letter],
+               prefix: tuple[Letter, ...] = ()) -> tuple[Letter, ...]:
+    """Normal form of `prefix` followed by `letters`; `prefix` is normal.
 
-    Quadratic scan restarted after every merge; fine at desk scale.
+    Pushes the letters one at a time onto the right end, by the rule in
+    the module docstring.
     """
-    letters = [(v, e) for v, e in ((v, _norm_exp(g, v, e)) for v, e in letters)
-               if e != 0]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters)):
-            v = letters[i][0]
-            blocked = False
-            for j in range(i + 1, len(letters)):
-                w = letters[j][0]
-                if w == v:
-                    e = _norm_exp(g, v, letters[i][1] + letters[j][1])
-                    del letters[j]
-                    if e == 0:
-                        del letters[i]
-                    else:
-                        letters[i] = (v, e)
-                    changed = True
-                    blocked = True
-                    break
-                if not g.adjacent(v, w):
-                    blocked = True
-                    break
-            if blocked and changed:
-                break
-    return letters
-
-
-def _canonical(g: LabeledGraph, letters: list[Letter]) -> tuple[Letter, ...]:
-    """Lexicographically least shuffle of a merge-free letter sequence.
-
-    Repeatedly emits the least-vertex letter that commutes with everything
-    still ahead of it.
-    """
-    out = []
-    rem = list(letters)
-    while rem:
-        best = None
-        for i, (v, _) in enumerate(rem):
-            if all(w != v and g.adjacent(w, v) for w, _ in rem[:i]):
-                if best is None or v < rem[best][0]:
-                    best = i
-        out.append(rem.pop(best))
-    return tuple(out)
+    acc = list(prefix)
+    for v, e in letters:
+        e = _norm_exp(g, v, e)
+        if e == 0:
+            continue
+        adj = g.adj[v]
+        j = len(acc)
+        while j and adj >> acc[j - 1][0] & 1:
+            j -= 1
+        if j and acc[j - 1][0] == v:
+            e = _norm_exp(g, v, acc[j - 1][1] + e)
+            if e == 0:
+                del acc[j - 1]
+            else:
+                acc[j - 1] = (v, e)
+            continue
+        while j < len(acc) and acc[j][0] < v:
+            j += 1
+        acc.insert(j, (v, e))
+    return tuple(acc)
 
 
 class NormalWord:
@@ -91,7 +89,7 @@ class NormalWord:
         if _canonical_input:
             self.letters = tuple(letters)
         else:
-            self.letters = _canonical(graph, _reduce(graph, list(letters)))
+            self.letters = _canonical(graph, letters)
 
     # -- constructors -------------------------------------------------------
 
@@ -101,10 +99,7 @@ class NormalWord:
 
     @staticmethod
     def letter(graph: LabeledGraph, v: int, e: int = 1) -> "NormalWord":
-        e = _norm_exp(graph, v, e)
-        if e == 0:
-            return NormalWord.identity(graph)
-        return NormalWord(graph, [(v, e)], _canonical_input=True)
+        return NormalWord(graph, [(v, e)])
 
     # -- basic protocol -----------------------------------------------------
 
@@ -142,38 +137,13 @@ class NormalWord:
     def __mul__(self, other: "NormalWord") -> "NormalWord":
         if self.graph is not other.graph:
             raise WordError("mismatched ambient graphs")
-        g = self.graph
-        acc = list(self.letters)
-        dirty = False
-        for v, e in other.letters:
-            # push one letter onto a merge-free sequence
-            j = len(acc) - 1
-            placed = False
-            while j >= 0:
-                w, f = acc[j]
-                if w == v:
-                    ne = _norm_exp(g, v, f + e)
-                    if ne == 0:
-                        del acc[j]
-                        dirty = True  # removal may expose distant merges
-                    else:
-                        acc[j] = (v, ne)
-                    placed = True
-                    break
-                if not g.adjacent(w, v):
-                    break
-                j -= 1
-            if not placed:
-                acc.append((v, e))
-            if dirty:
-                acc = _reduce(g, acc)
-                dirty = False
-        return NormalWord(g, _canonical(g, acc), _canonical_input=True)
+        return NormalWord(self.graph, _canonical(self.graph, other.letters,
+                                                 self.letters),
+                          _canonical_input=True)
 
     def inverse(self) -> "NormalWord":
-        g = self.graph
-        inv = [(v, _norm_exp(g, v, -e)) for v, e in reversed(self.letters)]
-        return NormalWord(g, _canonical(g, inv), _canonical_input=True)
+        return NormalWord(self.graph,
+                          [(v, -e) for v, e in reversed(self.letters)])
 
     def __pow__(self, n: int) -> "NormalWord":
         base = self if n >= 0 else self.inverse()

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qmgraph.graphs import LabeledGraph, expand, parse_graph
@@ -66,3 +68,57 @@ def z5z3():
 @pytest.fixture
 def pentagon_z2():
     return expand(ngon(5, "Z/2"))
+
+
+# -- exhaustive rewriting-closure oracle for the normal form -----------------
+
+def closure_canonical(g, letters):
+    """Least representative of the rewriting closure of a letter sequence.
+
+    Moves: swap two adjacent letters at adjacent vertices; merge two
+    consecutive letters at the same vertex; reduce exponents mod the
+    vertex order and drop trivial letters.  The canonical representative
+    is the minimum tuple among the shortest words reachable.  Finite
+    labels only.
+    """
+    def norm(seq):
+        return tuple((v, e % g.labels[v].order) for v, e in seq
+                     if e % g.labels[v].order != 0)
+
+    start = norm(letters)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for word in frontier:
+            for i in range(len(word) - 1):
+                (v, e), (w, f) = word[i], word[i + 1]
+                if v == w:
+                    cand = norm(word[:i] + ((v, e + f),) + word[i + 2:])
+                elif g.adjacent(v, w):
+                    cand = word[:i] + ((w, f), (v, e)) + word[i + 2:]
+                else:
+                    continue
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    best_len = min(len(w) for w in seen)
+    return min(w for w in seen if len(w) == best_len)
+
+
+# (graph, exponents, longest word): Z/2 letters only merge to the
+# identity; Z/3 with exponents {1, 2} also merges to a nonzero letter
+CLOSURE_CASES = [
+    (edgeless(["Z/2"] * 4), (1,), 6),
+    (path_graph(["Z/2"] * 4), (1,), 6),
+    (ngon(4, "Z/2"), (1,), 6),
+    (ngon(4, "Z/3"), (1, 2), 5),
+]
+
+
+def closure_words(g, exps, max_len):
+    """Every letter sequence over the graph's vertices up to max_len."""
+    letters = [(v, e) for v in range(g.n) for e in exps]
+    for length in range(max_len + 1):
+        yield from product(letters, repeat=length)

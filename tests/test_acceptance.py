@@ -25,7 +25,8 @@ from qmgraph.scl import (HEURISTIC, RIGOROUS, DefectEstimate, estimate_defect,
                          scl_aut_lower_bound)
 from qmgraph.words import NormalWord, parse_word, random_word
 
-from conftest import (b_graph, edgeless, figure1_raag, lambda_raag, ngon,
+from conftest import (CLOSURE_CASES, b_graph, closure_canonical,
+                      closure_words, edgeless, figure1_raag, lambda_raag, ngon,
                       path_graph)
 
 WITNESS = ("a^4 b a^2 b a^2 b a^3 b a b a b a^3 b a b a b "
@@ -259,44 +260,16 @@ def test_criterion_09_naturality():
 
 
 def test_criterion_10_normal_form_oracle():
-    def closure_canonical(g, letters):
-        def norm(seq):
-            return tuple((v, e) for v, e in seq
-                         if e % g.labels[v].order != 0)
-
-        start = norm(letters)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for word in frontier:
-                for i in range(len(word) - 1):
-                    (v, e), (w, f) = word[i], word[i + 1]
-                    if v == w:
-                        cand = norm(word[:i] + ((v, e + f),) + word[i + 2:])
-                    elif g.adjacent(v, w):
-                        cand = word[:i] + ((w, f), (v, e)) + word[i + 2:]
-                    else:
-                        continue
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-            frontier = nxt
-        best = min(len(w) for w in seen)
-        return min(w for w in seen if len(w) == best)
-
     ok = True
     checked = 0
-    for graph in (edgeless(["Z/2"] * 4), path_graph(["Z/2"] * 4),
-                  ngon(4, "Z/2")):
+    for graph, exps, max_len in CLOSURE_CASES:
         g = expand(graph)
-        for length in range(7):
-            for vs in product(range(4), repeat=length):
-                letters = [(v, 1) for v in vs]
-                ok &= NormalWord(g, letters).letters == \
-                    closure_canonical(g, letters)
-                checked += 1
-    report(10, ok, f"{checked} words vs rewriting closure on 3 graphs")
+        for letters in closure_words(g, exps, max_len):
+            ok &= NormalWord(g, letters).letters == \
+                closure_canonical(g, letters)
+            checked += 1
+    report(10, ok, f"{checked} words vs rewriting closure on "
+                   f"{len(CLOSURE_CASES)} graphs")
 
 
 def test_criterion_11_scl_pipeline():

@@ -117,6 +117,54 @@ def test_max_n_env_override(capsys, z5z3_file, monkeypatch):
     assert "max_n" in err
 
 
+def test_homog_has_no_avg_flag(capsys):
+    # on cube_3_z3 the unaveraged value is 1 and the averaged one is 4
+    cube = os.path.join(corpus_dir(), "cube_3_z3.graph")
+    word = ("v0 v3 v0^2 v3 v0^2 v3 v0 v3 v0 v3 v0 v3 "
+            "v0^2 v3 v0^2 v3 v0^2 v3 v0^2 v3")
+    flags = ("--word", word, "--cone", "v0,v3", "--partA", "v0",
+             "--partB", "v3", "--kind", "sum")
+    code, out, _ = run(capsys, "homog", cube, *flags)
+    assert (code, out.split()[0]) == (0, "value=1")
+    code, out, _ = run(capsys, "eval", cube, *flags, "--avg")
+    assert (code, out.split()[0]) == (0, "value=4")
+    code, out, err = run(capsys, "homog", cube, *flags, "--avg")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --avg" in err
+
+
+def test_bad_max_n_env_is_usage_error(capsys, z5z3_file, monkeypatch):
+    monkeypatch.setenv("QMGRAPH_MAX_N", "abc")
+    # commands without homogenisation never read the variable
+    code, out, _ = run(capsys, "decide", z5z3_file)
+    assert code == 0 and out.startswith("status=")
+    code, _, err = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
+                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1")
+    assert code == 1
+    assert err == "error: QMGRAPH_MAX_N must be an integer, not 'abc'\n"
+
+
+def test_bad_max_period_is_exit_3(capsys, z5z3_file):
+    code, _, err = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
+                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                       "--max-period", "0")
+    assert code == 3
+    assert err.startswith("error: ") and "max_period >= 1" in err
+
+
+@pytest.mark.parametrize("cmd,flags,message", [
+    ("defect", ("--max-len", "0"), "max_len must be >= 1"),
+    ("defect", ("--samples", "-3"), "samples must be >= 0"),
+    ("scl", ("--word", "v0 v1", "--max-len", "0"), "max_len must be >= 1"),
+])
+def test_bad_defect_sampling_is_exit_3(capsys, z5z3_file, cmd, flags,
+                                       message):
+    code, out, err = run(capsys, cmd, z5z3_file, "--cone", "v0,v1",
+                         "--partA", "v0", "--partB", "v1", *flags)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_witness_command(capsys, z5z3_file):
     code, out, _ = run(capsys, "witness", z5z3_file)
     assert code == 0

@@ -47,6 +47,16 @@ def test_build_structural_errors():
         build(g, cone, part({0}, {1}), Code("A", (1, 2)))
 
 
+def test_build_rejects_bad_homogenisation_params():
+    g = z5z3()
+    cone = frozenset({0, 1})
+    for params in ((1, 8), (0, 8), (8, 0), (8, -1)):
+        with pytest.raises(BuildError, match="max_n >= 2 and max_period"):
+            build(g, cone, part({0}, {1}), Code("A", Z123),
+                  homog_params=params)
+    build(g, cone, part({0}, {1}), Code("A", Z123), homog_params=(2, 1))
+
+
 def test_build_rejects_unexpanded_graph():
     g = parse_graph("vertex a Z/6\nvertex b Z/5")
     with pytest.raises(BuildError, match="expanded"):

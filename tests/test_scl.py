@@ -48,6 +48,16 @@ def test_estimate_defect_vacuous():
     assert d.vacuous and d.samples == 0 and d.empirical_max == 0
 
 
+def test_estimate_defect_rejects_bad_arguments():
+    _, e = z5z3_eval()
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        estimate_defect(e, samples=-3, max_len=5, seed=1)
+    for max_len in (0, -1):
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            estimate_defect(e, samples=4, max_len=max_len, seed=1)
+    assert estimate_defect(e, samples=2, max_len=1, seed=1).samples == 2
+
+
 def test_estimate_defect_deterministic():
     _, e = z5z3_eval(homog=(10, 2))
     a = estimate_defect(e, samples=10, max_len=8, seed=4)

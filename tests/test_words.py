@@ -1,12 +1,15 @@
 """Normal-form arithmetic: group axioms, parsing, and the rewriting oracle."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmgraph.graphs import parse_graph, expand
 from qmgraph.words import (NormalWord, WordError, parse_word, random_word,
                            retraction, syllables)
 
-from conftest import edgeless, path_graph, ngon
+from conftest import (CLOSURE_CASES, closure_canonical, closure_words,
+                      edgeless, ngon)
+from words_reference import reference_normal_form
 
 
 def z5z3():
@@ -122,49 +125,55 @@ def test_random_word_deterministic():
 
 # -- exhaustive rewriting-closure oracle -------------------------------------
 
-def _closure_canonical(g, letters):
-    """Least representative of the rewriting closure of a letter sequence.
-
-    Moves: swap two adjacent letters at adjacent vertices; merge two
-    consecutive letters at the same vertex (mod the vertex order); drop
-    trivial letters.  The canonical representative is the minimum tuple
-    among the shortest words reachable.
-    """
-    def norm(seq):
-        return tuple((v, e) for v, e in seq if e % g.labels[v].order != 0)
-
-    start = norm(letters)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            for i in range(len(word) - 1):
-                (v, e), (w, f) = word[i], word[i + 1]
-                if v == w:
-                    cand = norm(word[:i] + ((v, e + f),) + word[i + 2:])
-                elif g.adjacent(v, w):
-                    cand = word[:i] + ((w, f), (v, e)) + word[i + 2:]
-                else:
-                    continue
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    best_len = min(len(w) for w in seen)
-    return min(w for w in seen if len(w) == best_len)
-
-
-@pytest.mark.parametrize("graph", [
-    edgeless(["Z/2"] * 4),
-    path_graph(["Z/2"] * 4),
-    ngon(4, "Z/2"),
-])
-def test_normal_form_matches_rewriting_closure(graph):
+@pytest.mark.parametrize("graph,exps,max_len", CLOSURE_CASES,
+                         ids=[f"graph{i}" for i in range(len(CLOSURE_CASES))])
+def test_normal_form_matches_rewriting_closure(graph, exps, max_len):
     g = expand(graph)
-    from itertools import product
-    for length in range(7):
-        for vs in product(range(4), repeat=length):
-            letters = [(v, 1) for v in vs]
-            assert NormalWord(g, letters).letters == \
-                _closure_canonical(g, letters)
+    for letters in closure_words(g, exps, max_len):
+        assert NormalWord(g, letters).letters == closure_canonical(g, letters)
+
+
+# -- differential test against the previous normaliser ------------------------
+
+LABELS = ["Z", "Z/2", "Z/3", "Z/4", "Z/6"]
+
+
+@st.composite
+def graphs_and_words(draw):
+    """An expanded graph on <= 6 vertices and three words of <= 40 letters."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=6))
+    # Z/6 expands to two vertices; keep the expanded graph at <= 6
+    while sum(2 if lab == "Z/6" else 1 for lab in labels) > 6:
+        labels.pop()
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    text = "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labels))
+    text += "".join(f"edge v{i} v{j}\n" for i, j in edges)
+    g = expand(parse_graph(text))
+    letter = st.tuples(st.integers(0, g.n - 1),
+                       st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    words = [draw(st.lists(letter, max_size=40)) for _ in range(3)]
+    return g, words
+
+
+def _inverse_letters(letters):
+    return [(v, -e) for v, e in reversed(letters)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(graphs_and_words(), st.integers(-4, 4))
+def test_normal_form_matches_previous_normaliser(gw, k):
+    g, (a, b, c) = gw
+    x, y, z = (NormalWord(g, w) for w in (a, b, c))
+    for w, word in ((a, x), (b, y), (c, z)):
+        assert word.letters == reference_normal_form(g, w)
+    assert (x * y).letters == reference_normal_form(g, a + b)
+    assert (x * y * z).letters == reference_normal_form(g, a + b + c)
+    assert x.inverse().letters == reference_normal_form(g, _inverse_letters(a))
+    power = a * k if k >= 0 else _inverse_letters(a) * -k
+    assert (x ** k).letters == reference_normal_form(g, power)
+    # y x y^-1 cancels y against its inverse around x
+    conj = b + a + _inverse_letters(b)
+    assert (y * x * y.inverse()).letters == reference_normal_form(g, conj)
+    assert x.conjugate_by(y).letters == reference_normal_form(g, conj)
