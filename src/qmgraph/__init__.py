@@ -14,8 +14,8 @@ from .autos import (AutError, LabelledGraphAut, FactorAut, Transvection,
 from .evaluators import (Evaluator, BuildError, Code, WeightedZ,
                          SumBothSides, QMValue, build, evaluate, average,
                          stabilizer_count, labeled_isomorphic)
-from .decide import (Verdict, WitnessSpec, decide, decide_raag,
-                     find_invariant_cones, witness)
+from .decide import (Verdict, WitnessSpec, decide, find_invariant_cones,
+                     witness)
 from .scl import (DefectEstimate, commutator_conditions, estimate_defect,
                   scl_aut_lower_bound)
 

@@ -184,16 +184,19 @@ def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
     yield from extend(0)
 
 
-def enum_labelled_graph_autos(g: LabeledGraph,
-                              max_vertices: int = 16) -> list[LabelledGraphAut]:
+# enumeration visits up to n! permutations
+VERTEX_CAP = 16
+
+
+def enum_labelled_graph_autos(g: LabeledGraph) -> list[LabelledGraphAut]:
     """All label-preserving graph automorphisms, by backtracking.
 
     Deterministic order: lexicographic in the image tuple.
     """
     if not g.is_expanded():
         raise GraphError("enumeration is defined on expanded graphs")
-    if g.n > max_vertices:
-        raise GraphError(f"vertex bound exceeded ({g.n} > {max_vertices})")
+    if g.n > VERTEX_CAP:
+        raise GraphError(f"vertex bound exceeded ({g.n} > {VERTEX_CAP})")
     V = range(g.n)
     return [LabelledGraphAut(p) for p in labelled_isomorphisms(g, V, V)]
 

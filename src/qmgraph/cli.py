@@ -15,8 +15,8 @@ from importlib import resources
 
 from .evaluators import (BuildError, Code, Evaluator, SumBothSides, WeightedZ,
                          average, build, evaluate)
-from .decide import (EXISTS_CONSTRUCTIVE, decide, decide_raag,
-                     find_invariant_cones, witness)
+from .decide import (EXISTS_CONSTRUCTIVE, decide, find_invariant_cones,
+                     witness)
 from .scl import DefectEstimate, estimate_defect, scl_aut_lower_bound
 from .autos import enum_labelled_graph_autos
 from .graphs import (GraphError, LabeledGraph, expand, parse_graph,
@@ -172,7 +172,7 @@ def _cmd_cones(args):
 
 def _cmd_decide(args):
     g = _load_graph(args.file)
-    verdict = decide_raag(g) if args.raag else decide(g)
+    verdict = decide(g)
     if args.json:
         doc = {"status": verdict.status, "trace": verdict.trace}
         if verdict.witness is not None:
@@ -322,8 +322,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("decide", help="existence decision")
     p.add_argument("file")
-    p.add_argument("--raag", action="store_true",
-                   help="use the all-Z specialised procedure")
     p.add_argument("--trace", action="store_true", help="show derivation")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_decide)

@@ -108,6 +108,16 @@ def _try_pairs(g: LabeledGraph, factors, trace: list[str],
     return None
 
 
+def _cone_pair(g: LabeledGraph, cones, trace: list[str]
+               ) -> Optional[WitnessSpec]:
+    """The first constructive free pair over the invariant cones."""
+    for cone, comps in cones:
+        spec = _try_pairs(g, comps, trace, "invariant cone pair")
+        if spec is not None:
+            return spec
+    return None
+
+
 def _classes_in(g: LabeledGraph, X: frozenset[int]
                 ) -> tuple[TauClassification, list[frozenset[int]]]:
     """The ~_tau classification of the graph induced on X, its classes
@@ -137,12 +147,8 @@ def _pair_from_claim(g: LabeledGraph, factors, trace: list[str],
             B = Fb if len(Fb) == 1 else _classes_in(g, Fb)[1][0]
             if _single_z2(g, A) and _single_z2(g, B):
                 # one factor has a second vertex; use it whole as side B
-                if len(Fb) > 1:
-                    picked = (A, Fb, ev.Code("B", DEFAULT_Z))
-                else:
-                    picked = (B, Fa, ev.Code("B", DEFAULT_Z))
-            else:
-                picked = _kind_for_pair(g, A, B)
+                A, B = (A, Fb) if len(Fb) > 1 else (B, Fa)
+            picked = _kind_for_pair(g, A, B)
             if picked is None:
                 continue
             spec = _checked_spec(g, *picked, trace, rule + _SPLIT)
@@ -242,27 +248,18 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
 
 # -- right-angled Artin groups ----------------------------------------------
 
-def decide_raag(graph: LabeledGraph) -> Verdict:
-    """Decision procedure specialised to all-Z labels."""
-    g = expand(graph)
-    if any(not s.is_infinite for s in g.labels):
-        raise GraphError("decide_raag requires all labels infinite cyclic")
-    trace: list[str] = []
-    if g.n == 0 or g.is_complete():
-        trace.append("complete graph: free abelian group")
-        return Verdict(ABELIAN, None, trace, g)
+def _decide_raag(g: LabeledGraph, trace: list[str]) -> Verdict:
+    """Every label infinite cyclic and the graph not complete."""
     tc = tau_classes(g)
-    free_classes = [i for i, (kind, size) in enumerate(tc.class_type)
-                    if kind == FREE and size >= 2]
-    if not free_classes:
+    if not any(kind == FREE and size >= 2 for kind, size in tc.class_type):
         verdict = _raag_abelian_classes(g, trace)
         if verdict is not None:
             return verdict
     else:
-        for cone, comps in find_invariant_cones(g):
-            spec = _try_pairs(g, comps, trace, "invariant cone pair")
-            if spec is not None:
-                return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
+        cones = find_invariant_cones(g)
+        spec = _cone_pair(g, cones, trace)
+        if spec is not None:
+            return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
         minimal_f2 = [i for i in tc.minimal_classes()
                       if tc.class_type[i] == (FREE, 2)
                       and is_lower_cone(g, tc.classes[i])]
@@ -272,7 +269,7 @@ def decide_raag(graph: LabeledGraph) -> Verdict:
                          "existence holds but the F_2 base is "
                          "non-constructive here")
             return Verdict(EXISTS_NONCONSTRUCTIVE, None, trace, g)
-        if find_invariant_cones(g):
+        if cones:
             trace.append("an invariant lower cone with a valid free split "
                          "exists; non-constructive")
             return Verdict(EXISTS_NONCONSTRUCTIVE, None, trace, g)
@@ -295,10 +292,10 @@ def _raag_abelian_classes(g: LabeledGraph,
             LM = X & lower_cone_L(g, M)
             if not LM:
                 continue
-            inside = [i for i, c in enumerate(tc.classes) if c <= LM]
+            inside = sum(1 << i for i, c in enumerate(tc.classes) if c <= LM)
             l_classes = _sorted_sets(
-                tc.classes[i] for i in inside
-                if not any(tc.leq[(j, i)] for j in inside if j != i))
+                c for i, c in enumerate(tc.classes)
+                if tc.below[i] & inside == 1 << i)
             for N in l_classes:
                 if len(M) == 1 and len(N) == 1:
                     if is_lower_cone(g, M | N):
@@ -327,8 +324,11 @@ def _raag_abelian_classes(g: LabeledGraph,
 
 # -- invariant lower cones (sufficient condition) ----------------------------
 
-def find_invariant_cones(g: LabeledGraph,
-                         max_candidates: int = 1 << 20):
+# the cone search filters all 2^m subsets of the m ~_tau classes
+CLASS_CAP = 20
+
+
+def find_invariant_cones(g: LabeledGraph):
     """Lower cones invariant under every labelled graph automorphism whose
     induced graph splits as a free product meeting the existence
     hypotheses (>= 2 factors, at most two infinite cyclic, not all Z/2).
@@ -338,14 +338,13 @@ def find_invariant_cones(g: LabeledGraph,
         raise GraphError("find_invariant_cones requires an expanded graph")
     tc = tau_classes(g)
     m = len(tc.classes)
-    if 1 << m > max_candidates:
+    if m > CLASS_CAP:
         raise GraphError("too many ~_tau classes to enumerate cones")
     lgas = None
     out = []
     for bits in range(1, 1 << m):
         chosen = [i for i in range(m) if bits >> i & 1]
-        if not all(bits >> j & 1 for i in chosen for j in range(m)
-                   if j != i and tc.leq[(j, i)]):
+        if any(tc.below[i] & ~bits for i in chosen):
             continue
         cone = frozenset(v for i in chosen for v in tc.classes[i])
         if not is_lower_cone(g, cone):
@@ -383,9 +382,7 @@ def decide(graph: LabeledGraph) -> Verdict:
         return Verdict(ABELIAN, None, trace, g)
     if all(s.is_infinite for s in g.labels):
         trace.append("all labels infinite cyclic: right-angled Artin case")
-        v = decide_raag(g)
-        v.trace = trace + v.trace
-        return v
+        return _decide_raag(g, trace)
     if len(connected_components(g, range(g.n))) > 1:
         return _decide_free_product(g, trace)
     if all(not s.is_infinite for s in g.labels):
@@ -393,10 +390,9 @@ def decide(graph: LabeledGraph) -> Verdict:
         return _decide_finite_connected(g, trace)
     trace.append("connected graph with mixed labels: invariant-cone search")
     cones = find_invariant_cones(g)
-    for cone, comps in cones:
-        spec = _try_pairs(g, comps, trace, "invariant cone pair")
-        if spec is not None:
-            return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
+    spec = _cone_pair(g, cones, trace)
+    if spec is not None:
+        return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
     if cones:
         trace.append("an invariant lower cone exists but only with a "
                      "non-constructive split")

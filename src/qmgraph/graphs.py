@@ -303,8 +303,8 @@ class TauClassification:
     """Partition of V into ~_tau classes with the induced partial order."""
 
     classes: tuple[frozenset[int], ...]
-    # leq[(i, j)] True iff class i <=_tau class j
-    leq: dict[tuple[int, int], bool]
+    # below[j]: bitmask of the classes i with class i <=_tau class j
+    below: tuple[int, ...]
     class_type: tuple[tuple[str, int], ...]  # (kind, rank/size) per class
 
     def class_of(self, v: int) -> int:
@@ -314,48 +314,44 @@ class TauClassification:
         raise GraphError(f"vertex {v} not classified")
 
     def minimal_classes(self) -> list[int]:
-        out = []
-        for i in range(len(self.classes)):
-            if all(i == j or not self.leq[(j, i)] for j in range(len(self.classes))):
-                out.append(i)
-        return out
+        return [i for i, b in enumerate(self.below) if b == 1 << i]
 
 
 def tau_classes(g: LabeledGraph) -> TauClassification:
     """~_tau classes, the induced order, and each class's group type."""
     n = g.n
     down = g.tau_down
-    rel = [[bool(down[w] >> v & 1) for w in range(n)] for v in range(n)]
     assigned = [-1] * n
     classes: list[frozenset[int]] = []
     for v in range(n):
         if assigned[v] >= 0:
             continue
-        cls = {w for w in range(n) if rel[v][w] and rel[w][v]}
+        cls = frozenset(w for w in range(n)
+                        if down[w] >> v & 1 and down[v] >> w & 1)
         for w in cls:
             assigned[w] = len(classes)
-        classes.append(frozenset(cls))
-    k = len(classes)
+        classes.append(cls)
     # Class-level domination uses star containment uniformly: between
     # finite-order vertices that is leq_tau itself, and between classes
     # containing infinite-order vertices it is the star-preserving part of
     # the transvection preorder (the part labelled graph automorphisms and
-    # the peeling machinery act through).
-    def strong(v: int, w: int) -> bool:
-        if g.labels[v].is_infinite:
-            return g.leq_s(v, w)
-        return rel[v][w]
-
-    leq = {(i, j): i == j for i in range(k) for j in range(k)}
-    for i in range(k):
-        for j in range(k):
-            if i != j and any(strong(v, w) for v in classes[i] for w in classes[j]):
-                leq[(i, j)] = True
-    for m in range(k):  # transitive closure
-        for i in range(k):
-            for j in range(k):
-                if leq[(i, m)] and leq[(m, j)]:
-                    leq[(i, j)] = True
+    # the peeling machinery act through).  The relation needs no
+    # transitive closure: vertex by vertex it is transitive, the members
+    # of a finite or free abelian class have equal stars, and nothing
+    # outside a free class of two or more vertices lies strongly below it.
+    stars = [g.adj[v] | 1 << v for v in range(n)]
+    below = []
+    for j, c in enumerate(classes):
+        bits = 1 << j
+        for w in c:
+            for v in range(n):
+                if g.labels[v].is_infinite:
+                    strong = stars[v] & ~stars[w] == 0
+                else:
+                    strong = down[w] >> v & 1
+                if strong:
+                    bits |= 1 << assigned[v]
+        below.append(bits)
     types = []
     for c in classes:
         members = sorted(c)
@@ -370,7 +366,7 @@ def tau_classes(g: LabeledGraph) -> TauClassification:
             types.append((FREE, len(members)))
         else:
             raise GraphError("tau class neither complete nor edgeless")
-    return TauClassification(tuple(classes), leq, tuple(types))
+    return TauClassification(tuple(classes), tuple(below), tuple(types))
 
 
 def is_lower_cone(g: LabeledGraph, X: frozenset[int]) -> bool:
@@ -388,7 +384,7 @@ def lower_cone_L(g: LabeledGraph, M: frozenset[int]) -> frozenset[int]:
     """L_M: vertices whose star avoids M entirely."""
     mmask = 0
     for v in M:
-        if v >= g.n:
+        if not 0 <= v < g.n:
             raise GraphError("vertex set not contained in V")
         mmask |= 1 << v
     return frozenset(v for v in range(g.n)

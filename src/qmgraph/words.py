@@ -217,19 +217,15 @@ def syllables(x: NormalWord,
     check_free_partition(g, A, B)
     if not x.support() <= A | B:
         raise WordError("word support escapes the partition")
-    blocks: list[tuple[str, NormalWord]] = []
-    cur: list[Letter] = []
-    cur_side = None
+    runs: list[tuple[str, list[Letter]]] = []
     for v, e in x.letters:
         side = "A" if v in A else "B"
-        if side != cur_side and cur:
-            blocks.append((cur_side, NormalWord(g, cur)))
-            cur = []
-        cur_side = side
-        cur.append((v, e))
-    if cur:
-        blocks.append((cur_side, NormalWord(g, cur)))
-    return blocks
+        if not runs or runs[-1][0] != side:
+            runs.append((side, []))
+        runs[-1][1].append((v, e))
+    # a contiguous run of a normal word is normal and merge-free
+    return [(side, NormalWord(g, run, _canonical_input=True))
+            for side, run in runs]
 
 
 def random_word(g: LabeledGraph, length: int, seed: int) -> NormalWord:

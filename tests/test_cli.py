@@ -70,10 +70,11 @@ def test_decide_json(capsys, z5z3_file):
     assert doc["witness"]["kind"] == "Code"
 
 
-def test_decide_raag_flag_rejects_finite_labels(capsys, z5z3_file):
-    code, _, err = run(capsys, "decide", "--raag", z5z3_file)
-    assert code == 3
-    assert "infinite cyclic" in err
+def test_decide_has_no_raag_flag(capsys, z5z3_file):
+    # decide routes every all-Z graph to the right-angled Artin procedure
+    code, out, err = run(capsys, "decide", "--raag", z5z3_file)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --raag" in err
 
 
 def test_autos(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from qmgraph.decide import (ABELIAN, EXISTS_CONSTRUCTIVE,
                             EXISTS_NONCONSTRUCTIVE, FINITE, PROVABLY_NONE,
                             UNKNOWN, Verdict, WitnessSpec, decide,
-                            decide_raag, find_invariant_cones, witness)
+                            find_invariant_cones, witness)
 from qmgraph.evaluators import Code, WeightedZ, build, evaluate
 from qmgraph.graphs import GraphError, expand, parse_graph
 from qmgraph.words import NormalWord
@@ -99,13 +99,21 @@ def test_verdict_carries_trace_and_graph():
     assert v.graph.is_expanded()
 
 
+RAAG_STEP = "all labels infinite cyclic: right-angled Artin case"
+
+
 def test_decide_raag_rejects_finite_labels():
-    with pytest.raises(GraphError):
-        decide_raag(ngon(4, "Z/2"))
+    # only graphs whose every label is Z reach the right-angled Artin step
+    assert RAAG_STEP in decide(ngon(5, "Z")).trace
+    for g in (ngon(5, "Z/2"), path_graph(["Z", "Z/2", "Z"]),
+              parse_graph("vertex a Z\nvertex b Z/6")):
+        assert RAAG_STEP not in decide(g).trace
 
 
 def test_decide_raag_abelian():
-    assert decide_raag(ngon(3, "Z")).status == ABELIAN
+    v = decide(ngon(3, "Z"))
+    assert v.status == ABELIAN
+    assert v.trace == ["complete graph: infinite abelian group"]
 
 
 def test_find_invariant_cones_figure1():

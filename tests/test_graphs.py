@@ -195,6 +195,36 @@ def test_is_lower_cone_matches_brute_force(g):
             assert is_lower_cone(g, frozenset(X)) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(expanded_graphs())
+def test_class_table_matches_definition(g):
+    tc = tau_classes(g)
+    k = len(tc.classes)
+    # class i <=_tau class j: the transitive closure of "some v in class i
+    # is strongly below some w in class j", where strongly below means
+    # st(v) in st(w) for Z-labelled v and v <=_tau w for finite v
+    def strong(v, w):
+        if g.labels[v].is_infinite:
+            return g.leq_s(v, w)
+        return reference_leq_tau(g, v, w)
+
+    rel = {(i, j): i == j or any(strong(v, w) for v in tc.classes[i]
+                                 for w in tc.classes[j])
+           for i in range(k) for j in range(k)}
+    changed = True
+    while changed:
+        changed = False
+        for i, m, j in itertools.product(range(k), repeat=3):
+            if rel[(i, m)] and rel[(m, j)] and not rel[(i, j)]:
+                rel[(i, j)] = changed = True
+    for i in range(k):
+        for j in range(k):
+            assert bool(tc.below[j] >> i & 1) == rel[(i, j)]
+    assert tc.minimal_classes() == [
+        i for i in range(k)
+        if not any(rel[(j, i)] for j in range(k) if j != i)]
+
+
 def test_tau_table_checks_indices_and_expansion():
     g = expand(path_graph(["Z/2", "Z"]))
     for v, w in ((-1, 0), (0, 2), (2, 0)):
@@ -202,6 +232,9 @@ def test_tau_table_checks_indices_and_expansion():
             g.leq_tau(v, w)
     with pytest.raises(GraphError):
         is_lower_cone(g, frozenset({2}))
+    for bad in (-1, 2):
+        with pytest.raises(GraphError, match="not contained in V"):
+            lower_cone_L(g, frozenset({bad}))
     raw = parse_graph("vertex a Z/6\nvertex b Z\nedge a b")
     for check in (lambda: raw.leq_tau(0, 1), lambda: raw.tau_down,
                   lambda: is_lower_cone(raw, frozenset({0})),

@@ -1,4 +1,5 @@
-"""Normal-form arithmetic: group axioms, parsing, and the rewriting oracle."""
+"""Normal-form arithmetic: group axioms, parsing, and the previous normaliser
+as oracle (the rewriting-closure oracle is acceptance criterion 10)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,7 @@ from qmgraph.graphs import parse_graph, expand
 from qmgraph.words import (NormalWord, WordError, parse_word, random_word,
                            retraction, syllables)
 
-from conftest import (CLOSURE_CASES, closure_canonical, closure_words,
-                      edgeless, ngon)
+from conftest import edgeless, ngon
 from words_reference import reference_normal_form
 
 
@@ -105,6 +105,7 @@ def test_syllables_alternate_and_multiply_back():
     assert sides == ["A", "B", "A", "B", "A"]
     prod = NormalWord.identity(g)
     for _, blk in blocks:
+        assert NormalWord(g, blk.letters) == blk  # blocks are canonical
         prod = prod * blk
     assert prod == x
     with pytest.raises(WordError):
@@ -121,16 +122,6 @@ def test_random_word_deterministic():
     g = expand(ngon(5, "Z/2"))
     assert random_word(g, 8, seed=11) == random_word(g, 8, seed=11)
     assert random_word(g, 8, seed=11) != random_word(g, 8, seed=12)
-
-
-# -- exhaustive rewriting-closure oracle -------------------------------------
-
-@pytest.mark.parametrize("graph,exps,max_len", CLOSURE_CASES,
-                         ids=[f"graph{i}" for i in range(len(CLOSURE_CASES))])
-def test_normal_form_matches_rewriting_closure(graph, exps, max_len):
-    g = expand(graph)
-    for letters in closure_words(g, exps, max_len):
-        assert NormalWord(g, letters).letters == closure_canonical(g, letters)
 
 
 # -- differential test against the previous normaliser ------------------------
