@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from .graphs import GraphError, LabeledGraph, connected_components
-from .words import NormalWord
+from .words import Letter, NormalWord
 
 
 class AutError(ValueError):
@@ -89,41 +89,37 @@ def validate_gen(g: LabeledGraph, gen: AutGen) -> tuple[bool, str]:
     raise AutError(f"unknown generator type {type(gen)!r}")
 
 
-def _letter_image(g: LabeledGraph, gen: AutGen, v: int, e: int) -> NormalWord:
+def _letter_image(g: LabeledGraph, gen: AutGen, v: int,
+                  e: int) -> list[Letter]:
+    """The letters of the image of (v, e), not yet normalised."""
     if isinstance(gen, LabelledGraphAut):
-        return NormalWord.letter(g, gen.perm[v], e)
+        return [(gen.perm[v], e)]
     if isinstance(gen, FactorAut):
-        if v == gen.vertex:
-            return NormalWord.letter(g, v, gen.m * e)
-        return NormalWord.letter(g, v, e)
+        return [(v, gen.m * e if v == gen.vertex else e)]
     if isinstance(gen, Transvection):
         if v != gen.v:
-            return NormalWord.letter(g, v, e)
+            return [(v, e)]
         gv, gw = g.labels[gen.v], g.labels[gen.w]
-        if gv.is_infinite:
-            img = NormalWord.letter(g, gen.v) * NormalWord.letter(g, gen.w)
-        else:
-            q = gv.prime ** (gw.power - gv.power) if gw.power > gv.power else 1
-            img = NormalWord.letter(g, gen.v) * NormalWord.letter(g, gen.w, q)
-        return img ** e
+        q = 1
+        if not gv.is_infinite and gw.power > gv.power:
+            q = gv.prime ** (gw.power - gv.power)
+        # (v w^q)^e by repeated squaring, so a large e stays cheap
+        return list((NormalWord(g, [(gen.v, 1), (gen.w, q)]) ** e).letters)
     if isinstance(gen, PartialConj):
         if v in gen.K:
-            c = NormalWord.letter(g, gen.v)
-            return c * NormalWord.letter(g, v, e) * c.inverse()
-        return NormalWord.letter(g, v, e)
+            return [(gen.v, 1), (v, e), (gen.v, -1)]
+        return [(v, e)]
     raise AutError(f"unknown generator type {type(gen)!r}")
 
 
 def apply_gen(gen: AutGen, x: NormalWord) -> NormalWord:
-    """Apply one generator letterwise and renormalize."""
+    """Apply one generator letterwise and normalise the image once."""
     g = x.graph
     ok, reason = validate_gen(g, gen)
     if not ok:
         raise AutError(reason)
-    out = NormalWord.identity(g)
-    for v, e in x.letters:
-        out = out * _letter_image(g, gen, v, e)
-    return out
+    return NormalWord(g, [letter for v, e in x.letters
+                          for letter in _letter_image(g, gen, v, e)])
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERR)
 
 
-def _frac(s: str) -> Fraction:
-    return Fraction(s)
+def _rational(s: str) -> Fraction:
+    """An argparse type: a rational p/q (or an integer or decimal)."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational p/q, got {s!r}") from None
 
 
 def _fmt(q: Fraction) -> str:
@@ -240,9 +245,8 @@ def _cmd_scl(args):
     x = _parse_word_or_exit(g, args.word)
     try:
         if args.defect_bound is not None:
-            d = DefectEstimate(Fraction(0), 0, args.max_len,
-                                      args.seed,
-                                      user_bound=_frac(args.defect_bound))
+            d = DefectEstimate(Fraction(0), 0, args.max_len, args.seed,
+                               user_bound=args.defect_bound)
         else:
             d = estimate_defect(e, args.samples, args.max_len,
                                        args.seed)
@@ -356,7 +360,7 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--word", required=True)
     _add_eval_flags(p)
-    p.add_argument("--defect-bound", default=None,
+    p.add_argument("--defect-bound", type=_rational, default=None,
                    help="certified defect bound p/q (rigorous mode)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-len", type=int, default=6)

@@ -5,6 +5,11 @@ form, the A-code its run-length sequence, and theta_z counts maximal
 disjoint occurrences of a pattern z inside the code.  The quasimorphism is
 f_z(g) = theta_z(g) - theta_z(g^-1); weighted Z-codes handle an infinite
 cyclic side by summing maximal same-sign exponent runs.
+
+The reduced form of g^-1 is that of g reversed with every block inverted,
+so both codes of g^-1 are the codes of g reversed.  Disjoint copies of z
+in a reversed sequence are disjoint copies of reverse(z) in the original,
+so f_z is computed from one code c as #_z(c) - #_{reverse(z)}(c).
 """
 
 from __future__ import annotations
@@ -96,9 +101,15 @@ def theta(x: NormalWord, partition: Partition, side: str,
     return count_disjoint(code(x, partition, side), z)
 
 
+def _antisymmetric_count(c: tuple[int, ...], z: Sequence[int]) -> int:
+    """#_z(c) - #_z(reverse(c)), computed as #_z(c) - #_{reverse(z)}(c)."""
+    z = tuple(z)
+    return count_disjoint(c, z) - count_disjoint(c, z[::-1])
+
+
 def code_qm(x: NormalWord, partition: Partition, side: str,
             z: Sequence[int]) -> int:
-    return theta(x, partition, side, z) - theta(x.inverse(), partition, side, z)
+    return _antisymmetric_count(code(x, partition, side), z)
 
 
 def weighted_theta(x: NormalWord, partition: Partition, z: Sequence[int]) -> int:
@@ -107,8 +118,7 @@ def weighted_theta(x: NormalWord, partition: Partition, z: Sequence[int]) -> int
 
 def weighted_code_qm(x: NormalWord, partition: Partition,
                      z: Sequence[int]) -> int:
-    return weighted_theta(x, partition, z) - weighted_theta(
-        x.inverse(), partition, z)
+    return _antisymmetric_count(weighted_z_code(x, partition), z)
 
 
 # -- homogenisation -----------------------------------------------------------

@@ -8,13 +8,14 @@ partition, evaluator kind) that the evaluator module accepts as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from itertools import combinations
+from typing import Iterable, Iterator, Optional
 
 from . import evaluators as ev
 from .evaluators import _single_z, _single_z2
 from .graphs import (GraphError, LabeledGraph, TauClassification,
                      connected_components, expand, is_lower_cone,
-                     lower_cone_L, tau_classes, FREE)
+                     lower_cone_L, FREE)
 from .words import NormalWord, parse_word
 
 FINITE = "Finite"
@@ -77,12 +78,11 @@ _SPLIT = ": cone {cone} splits as {A} * {B} ({kind})"
 def _checked_spec(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
                   kind: ev.Kind, trace: list[str],
                   line: str) -> Optional[WitnessSpec]:
-    """The spec for (A, B, kind) if A | B is a lower cone and the evaluator
-    builds, else None.  On success `line`, formatted with the fields cone,
-    A, B (vertex names), nA, nB (side sizes) and kind, goes on the trace."""
+    """The spec for (A, B, kind) if the evaluator builds (so A | B is a
+    lower cone), else None.  On success `line`, formatted with the fields
+    cone, A, B (vertex names), nA, nB (side sizes) and kind, goes on the
+    trace."""
     cone = A | B
-    if not is_lower_cone(g, cone):
-        return None
     try:
         ev.build(g, cone, (A, B), kind)
     except ev.BuildError:
@@ -93,28 +93,17 @@ def _checked_spec(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
     return WitnessSpec(cone, (A, B), kind)
 
 
-def _try_pairs(g: LabeledGraph, factors, trace: list[str],
-               rule: str) -> Optional[WitnessSpec]:
-    """Search ordered factor pairs for a constructive, lower-cone spec."""
-    factors = _sorted_sets(factors)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            picked = _kind_for_pair(g, factors[i], factors[j])
-            if picked is None:
-                continue
-            spec = _checked_spec(g, *picked, trace, rule + _SPLIT)
+def _first_spec(g: LabeledGraph, pairs: Iterable[tuple], trace: list[str],
+                line: str) -> Optional[WitnessSpec]:
+    """The spec of the first candidate pair (A, B), in order, that has a
+    constructive evaluator kind and checks out; `line` is as in
+    _checked_spec."""
+    for A, B in pairs:
+        picked = _kind_for_pair(g, A, B)
+        if picked is not None:
+            spec = _checked_spec(g, *picked, trace, line)
             if spec is not None:
                 return spec
-    return None
-
-
-def _cone_pair(g: LabeledGraph, cones, trace: list[str]
-               ) -> Optional[WitnessSpec]:
-    """The first constructive free pair over the invariant cones."""
-    for cone, comps in cones:
-        spec = _try_pairs(g, comps, trace, "invariant cone pair")
-        if spec is not None:
-            return spec
     return None
 
 
@@ -124,37 +113,36 @@ def _classes_in(g: LabeledGraph, X: frozenset[int]
     mapped back to g's vertex indices, and its minimal classes in
     lexicographic order."""
     idxs = sorted(X)
-    tc = tau_classes(g.induced(X))
+    tc = g.induced(X).tau_classification
     tc = replace(tc, classes=tuple(frozenset(idxs[v] for v in c)
                                    for c in tc.classes))
     return tc, _sorted_sets(tc.classes[i] for i in tc.minimal_classes())
 
 
-def _pair_from_claim(g: LabeledGraph, factors, trace: list[str],
-                     rule: str) -> Optional[WitnessSpec]:
-    """Turn a claim-style factor list (all finite labels) into a witness.
+def _claim_pairs(g: LabeledGraph, factors) -> Iterator[tuple]:
+    """Candidate pairs from a claim-style factor list (all finite labels).
 
-    Picks two factors that are not both Z/2, refines each to a minimal
+    Takes two factors that are not both Z/2, refines each to a minimal
     class, and falls back to the single-vertex-versus-whole-factor split
     when both refined classes are Z/2."""
-    factors = _sorted_sets(factors)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            Fa, Fb = factors[i], factors[j]
-            if _single_z2(g, Fa) and _single_z2(g, Fb):
-                continue
-            A = Fa if len(Fa) == 1 else _classes_in(g, Fa)[1][0]
-            B = Fb if len(Fb) == 1 else _classes_in(g, Fb)[1][0]
-            if _single_z2(g, A) and _single_z2(g, B):
-                # one factor has a second vertex; use it whole as side B
-                A, B = (A, Fb) if len(Fb) > 1 else (B, Fa)
-            picked = _kind_for_pair(g, A, B)
-            if picked is None:
-                continue
-            spec = _checked_spec(g, *picked, trace, rule + _SPLIT)
-            if spec is not None:
-                return spec
-    return None
+    for Fa, Fb in combinations(_sorted_sets(factors), 2):
+        if _single_z2(g, Fa) and _single_z2(g, Fb):
+            continue
+        A = Fa if len(Fa) == 1 else _classes_in(g, Fa)[1][0]
+        B = Fb if len(Fb) == 1 else _classes_in(g, Fb)[1][0]
+        if _single_z2(g, A) and _single_z2(g, B):
+            # one factor has a second vertex; use it whole as side B
+            A, B = (A, Fb) if len(Fb) > 1 else (B, Fa)
+        yield A, B
+
+
+def _cone_pairs(cones) -> Iterator[tuple]:
+    """The factor pairs of each invariant cone, cone by cone."""
+    for _, comps in cones:
+        yield from combinations(_sorted_sets(comps), 2)
+
+
+_CONE_PAIR = "invariant cone pair" + _SPLIT
 
 
 # -- free products (disconnected expanded graph) ----------------------------
@@ -176,7 +164,8 @@ def _decide_free_product(g: LabeledGraph, trace: list[str]) -> Verdict:
         trace.append(f"{len(zc)} > 2 infinite cyclic factors: "
                      "existence hypothesis fails; open case")
         return Verdict(UNKNOWN, None, trace, g)
-    spec = _try_pairs(g, comps, trace, "factor pair")
+    spec = _first_spec(g, combinations(_sorted_sets(comps), 2), trace,
+                       "factor pair" + _SPLIT)
     if spec is not None:
         return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
     trace.append("no constructive factor pair (only Z * Z available); "
@@ -209,7 +198,8 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
         trace.append(f"minimal class {_names(g, M)} with "
                      f"L_M = {_names(g, LM)}")
         if not (_single_z2(g, M) and all(_single_z2(g, c) for c in comps)):
-            spec = _pair_from_claim(g, factors, trace, "claim cone")
+            spec = _first_spec(g, _claim_pairs(g, factors), trace,
+                               "claim cone" + _SPLIT)
             if spec is not None:
                 return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
             trace.append("no claim pair verified as a lower cone")
@@ -222,9 +212,9 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
             Ly = X & lower_cone_L(g, frozenset({y}))
             trace.append(f"pivot vertex {g.names[y]}: "
                          f"L_y = {_names(g, Ly)} contains an edge")
-            spec = _pair_from_claim(g, [frozenset({y})]
-                                    + connected_components(g, Ly),
-                                    trace, "pivot cone")
+            factors = [frozenset({y})] + connected_components(g, Ly)
+            spec = _first_spec(g, _claim_pairs(g, factors), trace,
+                               "pivot cone" + _SPLIT)
             if spec is not None:
                 return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
             trace.append("no pivot pair verified as a lower cone")
@@ -250,14 +240,14 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
 
 def _decide_raag(g: LabeledGraph, trace: list[str]) -> Verdict:
     """Every label infinite cyclic and the graph not complete."""
-    tc = tau_classes(g)
+    tc = g.tau_classification
     if not any(kind == FREE and size >= 2 for kind, size in tc.class_type):
         verdict = _raag_abelian_classes(g, trace)
         if verdict is not None:
             return verdict
     else:
         cones = find_invariant_cones(g)
-        spec = _cone_pair(g, cones, trace)
+        spec = _first_spec(g, _cone_pairs(cones), trace, _CONE_PAIR)
         if spec is not None:
             return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
         minimal_f2 = [i for i in tc.minimal_classes()
@@ -282,40 +272,28 @@ def _raag_abelian_classes(g: LabeledGraph,
     """All ~_tau classes free abelian: the iterated minimal-pair search."""
     trace.append("every ~_tau class is free abelian")
     X = frozenset(range(g.n))
-    f2_seen = False
-    while X:
-        if g.induced(X).is_complete():
-            break
+    pairs: list[tuple] = []
+    while X and not g.induced(X).is_complete():
         tc, mins = _classes_in(g, X)
         progressed = False
         for M in mins:
             LM = X & lower_cone_L(g, M)
-            if not LM:
-                continue
+            progressed |= bool(LM)
             inside = sum(1 << i for i, c in enumerate(tc.classes) if c <= LM)
-            l_classes = _sorted_sets(
+            pairs += [(M, N) for N in _sorted_sets(
                 c for i, c in enumerate(tc.classes)
-                if tc.below[i] & inside == 1 << i)
-            for N in l_classes:
-                if len(M) == 1 and len(N) == 1:
-                    if is_lower_cone(g, M | N):
-                        f2_seen = True
-                    continue
-                picked = _kind_for_pair(g, M, N)
-                if picked is None:
-                    continue
-                spec = _checked_spec(g, *picked, trace,
-                                     "minimal pair cone {cone}: "
-                                     "Z^{nA} * Z^{nB} ({kind})")
-                if spec is not None:
-                    return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
-            progressed = True
-        if not progressed:
-            # every minimal class commutes with the rest; peel it
-            X = X - mins[0]
-            continue
-        break
-    if f2_seen:
+                if tc.below[i] & inside == 1 << i)]
+        if progressed:
+            break
+        # every minimal class commutes with the rest; peel it
+        X = X - mins[0]
+    # a pair of single Z vertices has no constructive kind
+    spec = _first_spec(g, pairs, trace,
+                       "minimal pair cone {cone}: Z^{nA} * Z^{nB} ({kind})")
+    if spec is not None:
+        return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
+    if any(len(M) == len(N) == 1 and is_lower_cone(g, M | N)
+           for M, N in pairs):
         trace.append("only Z * Z minimal pairs available; existence holds "
                      "non-constructively")
         return Verdict(EXISTS_NONCONSTRUCTIVE, None, trace, g)
@@ -336,7 +314,7 @@ def find_invariant_cones(g: LabeledGraph):
     Returns (cone, components) pairs ordered by cone size."""
     if not g.is_expanded():
         raise GraphError("find_invariant_cones requires an expanded graph")
-    tc = tau_classes(g)
+    tc = g.tau_classification
     m = len(tc.classes)
     if m > CLASS_CAP:
         raise GraphError("too many ~_tau classes to enumerate cones")
@@ -390,7 +368,7 @@ def decide(graph: LabeledGraph) -> Verdict:
         return _decide_finite_connected(g, trace)
     trace.append("connected graph with mixed labels: invariant-cone search")
     cones = find_invariant_cones(g)
-    spec = _cone_pair(g, cones, trace)
+    spec = _first_spec(g, _cone_pairs(cones), trace, _CONE_PAIR)
     if spec is not None:
         return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
     if cones:

@@ -202,6 +202,11 @@ class LabeledGraph:
             down.append(mask)
         return tuple(down)
 
+    @cached_property
+    def tau_classification(self) -> "TauClassification":
+        """tau_classes(self), built on first use; the graph is immutable."""
+        return tau_classes(self)
+
     def leq_tau(self, v: int, w: int) -> bool:
         """The dominated-transvection preorder (reflexive by convention)."""
         down = self.tau_down

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import autos_reference as letterwise
 from qmgraph.autos import (AutError, AutWord, FactorAut, LabelledGraphAut,
                            PartialConj, Transvection, apply, apply_gen,
                            enum_labelled_graph_autos,
@@ -173,3 +174,37 @@ def test_valid_aut0_gens_all_validate():
         for gen in valid_aut0_gens(g):
             ok, reason = validate_gen(g, gen)
             assert ok, reason
+
+
+# -- one normalisation per image, against the letterwise definition ----------
+
+def _small_graphs():
+    yield figure1_raag()
+    yield ngon(4, "Z/3")
+    yield ngon(5, "Z")
+    yield path_graph(["Z/2", "Z/4", "Z/2"])  # transvections bump exponents
+    yield path_graph(["Z", "Z/2", "Z", "Z/4"])
+    yield edgeless(["Z/2", "Z/4", "Z"])
+    yield parse_graph("vertex c Z\nvertex a Z/3\nvertex b Z/3\n"
+                      "vertex d Z\nedge c a\nedge c b\nedge c d")
+    rng = random.Random(5)
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        labels = [rng.choice(["Z", "Z/2", "Z/4", "Z/3"]) for _ in range(n)]
+        text = "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labels))
+        text += "".join(f"edge v{i} v{j}\n" for i in range(n)
+                        for j in range(i + 1, n) if rng.random() < 0.5)
+        yield parse_graph(text)
+
+
+@pytest.mark.parametrize("graph", list(_small_graphs()))
+def test_apply_gen_matches_letterwise_definition(graph):
+    g = expand(graph)
+    gens = valid_aut0_gens(g) + enum_labelled_graph_autos(g)
+    words = [random_word(g, k, seed=k) for k in range(0, 16, 3)]
+    # a large exponent on every vertex, then the product of all of them
+    words += [NormalWord.letter(g, v, 1000 + v) for v in range(g.n)]
+    words.append(NormalWord(g, [(v, 1000 + v) for v in range(g.n)]))
+    for gen in gens:
+        for x in words:
+            assert apply_gen(gen, x) == letterwise.apply_gen(gen, x)

@@ -200,6 +200,26 @@ def test_scl_rigorous(capsys, z5z3_file):
     assert out.strip() == "scl_aut_lb=1/24 mode=rigorous-given-bound"
 
 
+@pytest.mark.parametrize("bound", ["1/0", "abc"])
+def test_bad_defect_bound_is_usage_error(capsys, z5z3_file, bound):
+    code, out, err = run(capsys, "scl", z5z3_file, "--word", WITNESS_WORD,
+                         "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                         "--defect-bound", bound)
+    assert code == 1 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == ["error: argument --defect-bound: expected a rational "
+                      f"p/q, got '{bound}'"]
+
+
+@pytest.mark.parametrize("bound", ["0", "-1/2"])
+def test_nonpositive_defect_bound_is_exit_3(capsys, z5z3_file, bound):
+    code, out, err = run(capsys, "scl", z5z3_file, "--word", WITNESS_WORD,
+                         "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                         f"--defect-bound={bound}")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_scl_heuristic_json(capsys, z5z3_file):
     code, out, _ = run(capsys, "scl", z5z3_file, "--word", WITNESS_WORD,
                        "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",

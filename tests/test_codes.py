@@ -4,10 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import codes_reference as two_pass
 from qmgraph.codes import (code, code_qm, count_disjoint, homogenise,
                            is_generic, theta, weighted_code_qm,
                            weighted_theta, weighted_z_code)
+from qmgraph.evaluators import Code, Evaluator, SumBothSides, WeightedZ
 from qmgraph.graphs import expand, parse_graph
 from qmgraph.words import NormalWord, WordError, parse_word
 
@@ -160,3 +163,47 @@ def test_empirical_defect_bounded(z5b):
         y = random_word(g, 6, seed=2 * s + 1)
         worst = max(worst, abs(f(x) + f(y) - f(x * y)))
     assert worst <= 6
+
+
+# -- one code per value, against the two-pass definition ----------------------
+
+@st.composite
+def free_product_words(draw):
+    """W_A * W_B with 1..3 vertices a side (A a single Z vertex when
+    weighted) and a word of <= 30 letters on it."""
+    weighted = draw(st.booleans())
+    side = st.lists(st.sampled_from(["Z", "Z/2", "Z/3", "Z/4"]),
+                    min_size=1, max_size=3)
+    labels_a = ["Z"] if weighted else draw(side)
+    labels = labels_a + draw(side)
+    na, n = len(labels_a), len(labels)
+    text = "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labels))
+    for lo, hi in ((0, na), (na, n)):
+        text += "".join(f"edge v{i} v{j}\n" for i in range(lo, hi)
+                        for j in range(i + 1, hi) if draw(st.booleans()))
+    g = expand(parse_graph(text))
+    letter = st.tuples(st.integers(0, n - 1),
+                       st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    x = NormalWord(g, draw(st.lists(letter, max_size=30)))
+    return g, (frozenset(range(na)), frozenset(range(na, n))), x, weighted
+
+
+NON_PALINDROMES = st.lists(st.integers(1, 4), min_size=2, max_size=4).map(
+    tuple).filter(lambda z: z != z[::-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_product_words(), NON_PALINDROMES, st.sampled_from([1, 2, 3, -2]))
+def test_one_code_matches_two_pass_definition(case, z, k):
+    g, part, x, weighted = case
+    x = x ** k
+    a, b = (two_pass.code_qm(x, part, side, z) for side in "AB")
+    assert code_qm(x, part, "A", z) == a
+    assert code_qm(x, part, "B", z) == b
+    kinds = [(Code("A", z), a), (Code("B", z), b), (SumBothSides(z), a + b)]
+    if weighted:
+        want = two_pass.weighted_code_qm(x, part, z)
+        assert weighted_code_qm(x, part, z) == want
+        kinds.append((WeightedZ(z), want))
+    for kind, want in kinds:
+        assert Evaluator(g, part[0] | part[1], part, kind).base(x) == want

@@ -85,6 +85,27 @@ def test_figure1_raag_nonconstructive():
     assert v.witness is None
 
 
+def test_figure1_raag_classifies_the_graph_once(monkeypatch):
+    import qmgraph.decide
+    import qmgraph.graphs
+    seen = []
+    classify = qmgraph.graphs.tau_classes
+
+    def counting(g):
+        seen.append(g)
+        return classify(g)
+
+    # decide may hold the function by name as well as through graphs
+    monkeypatch.setattr(qmgraph.graphs, "tau_classes", counting)
+    monkeypatch.setattr(qmgraph.decide, "tau_classes", counting,
+                        raising=False)
+    v = decide(figure1_raag())
+    # the free class of two or more vertices sends decide to the cone
+    # search, which needs the same classification again
+    assert v.status == EXISTS_NONCONSTRUCTIVE
+    assert sum(g is v.graph for g in seen) == 1
+
+
 def test_decide_deterministic():
     a = decide(ngon(6, "Z/2"))
     b = decide(ngon(6, "Z/2"))
