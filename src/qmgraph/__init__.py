@@ -10,7 +10,8 @@ from .codes import (code, weighted_z_code, is_generic, theta, code_qm,
                     weighted_theta, weighted_code_qm, homogenise, HomogValue)
 from .autos import (AutError, LabelledGraphAut, FactorAut, Transvection,
                     PartialConj, AutWord, apply, apply_gen, validate_gen,
-                    enum_labelled_graph_autos, valid_aut0_gens, random_aut0)
+                    enum_labelled_graph_autos, AutGroup, labelled_aut_group,
+                    valid_aut0_gens, random_aut0)
 from .evaluators import (Evaluator, BuildError, Code, WeightedZ,
                          SumBothSides, QMValue, build, evaluate, average,
                          stabilizer_count, labeled_isomorphic)

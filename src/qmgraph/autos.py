@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .graphs import GraphError, LabeledGraph, connected_components
 from .words import Letter, NormalWord
@@ -141,17 +141,29 @@ def apply(gen_or_word: Union[AutGen, AutWord], x: NormalWord) -> NormalWord:
 
 
 def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
-                          Y: Iterable[int]) -> Iterator[tuple[int, ...]]:
+                          Y: Iterable[int],
+                          fixed: Iterable[tuple[int, int]] = ()
+                          ) -> Iterator[tuple[int, ...]]:
     """Label-preserving isomorphisms of the induced subgraphs on X and Y.
 
-    Each is yielded as the tuple of images of sorted(X), by backtracking
-    in lexicographic order of that tuple; candidates whose label or
-    degree in the induced subgraph differs are pruned.
+    Each is yielded as the tuple of images of sorted(X).  Only maps that
+    contain the partial map `fixed`, given as (x, y) pairs in X x Y, are
+    yielded.  The backtracker places the fixed pairs first, in the given
+    order, then the rest of sorted(X), each tried against sorted(Y) in
+    order; with nothing fixed the tuples come in lexicographic order.
+    Candidates whose label or degree in the induced subgraph differs are
+    pruned.
     """
+    fixed = dict(fixed)
     xs, ys = sorted(X), sorted(Y)
     n = len(xs)
-    if n != len(ys):
+    ypos = {t: j for j, t in enumerate(ys)}
+    if (n != len(ys) or not fixed.keys() <= set(xs)
+            or any(t not in ypos for t in fixed.values())):
         return
+    xs = list(fixed) + [v for v in xs if v not in fixed]  # placement order
+    out = sorted(range(n), key=xs.__getitem__)  # back to sorted(X) order
+    cands = [(ypos[fixed[v]],) if v in fixed else range(n) for v in xs]
     xmask = sum(1 << v for v in xs)
     ymask = sum(1 << t for t in ys)
     xkey = [(g.labels[v], bin(g.adj[v] & xmask).count("1")) for v in xs]
@@ -162,12 +174,13 @@ def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
 
     def extend(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            yield tuple(image)
+            yield tuple(map(image.__getitem__, out))
             return
         key, av = xkey[i], adj[xs[i]]
-        for j, t in enumerate(ys):
+        for j in cands[i]:
             if used[j] or ykey[j] != key:
                 continue
+            t = ys[j]
             at = adj[t]
             if any((av >> xs[k] ^ at >> image[k]) & 1 for k in range(i)):
                 continue
@@ -180,8 +193,15 @@ def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
     yield from extend(0)
 
 
-# enumeration visits up to n! permutations
+# the backtracker can visit up to n! partial maps
 VERTEX_CAP = 16
+
+
+def _check_searchable(g: LabeledGraph) -> None:
+    if not g.is_expanded():
+        raise GraphError("enumeration is defined on expanded graphs")
+    if g.n > VERTEX_CAP:
+        raise GraphError(f"vertex bound exceeded ({g.n} > {VERTEX_CAP})")
 
 
 def enum_labelled_graph_autos(g: LabeledGraph) -> list[LabelledGraphAut]:
@@ -189,12 +209,113 @@ def enum_labelled_graph_autos(g: LabeledGraph) -> list[LabelledGraphAut]:
 
     Deterministic order: lexicographic in the image tuple.
     """
-    if not g.is_expanded():
-        raise GraphError("enumeration is defined on expanded graphs")
-    if g.n > VERTEX_CAP:
-        raise GraphError(f"vertex bound exceeded ({g.n} > {VERTEX_CAP})")
+    _check_searchable(g)
     V = range(g.n)
     return [LabelledGraphAut(p) for p in labelled_isomorphisms(g, V, V)]
+
+
+Perm = tuple[int, ...]
+
+
+def _transversal(n: int, gens: Sequence[Perm], point, act) -> dict:
+    """The orbit of `point` under the group the permutations `gens` of
+    range(n) generate, where act(s, p) is the image of p under s: a dict
+    from each image to one group element sending `point` there, listed
+    in breadth-first order from `point` (sent there by the identity)."""
+    reps = {point: tuple(range(n))}
+    todo = [point]
+    for p in todo:
+        rho = reps[p]
+        for s in gens:
+            q = act(s, p)
+            if q not in reps:
+                reps[q] = tuple(s[v] for v in rho)  # s after rho
+                todo.append(q)
+    return reps
+
+
+@dataclass(frozen=True)
+class AutGroup:
+    """The labelled graph automorphism group of an n-vertex graph: its
+    order and a generating set, without listing its elements."""
+
+    n: int
+    order: int
+    gens: tuple[Perm, ...]
+
+    def vertex_orbits(self) -> list[frozenset[int]]:
+        """The orbits of Aut on the vertices, ordered by least vertex."""
+        seen: set[int] = set()
+        out = []
+        for v in range(self.n):
+            if v not in seen:
+                orbit = frozenset(_transversal(self.n, self.gens, v,
+                                               tuple.__getitem__))
+                seen |= orbit
+                out.append(orbit)
+        return out
+
+    def pair_orbit(self, A: frozenset[int], B: frozenset[int]
+                   ) -> dict[tuple[frozenset[int], frozenset[int]], Perm]:
+        """The orbit of the ordered pair (A, B): each image (rho A, rho B)
+        with one automorphism rho that sends (A, B) there."""
+        return _transversal(
+            self.n, self.gens, (frozenset(A), frozenset(B)),
+            lambda s, p: tuple(frozenset(s[v] for v in S) for S in p))
+
+
+def _refined_colours(g: LabeledGraph) -> list[int]:
+    """Colour refinement: colour the vertices by label, then split each
+    colour class by the multiset of neighbour colours until no class
+    splits.  Labelled graph automorphisms preserve the colours."""
+    nbrs = [[u for u in range(g.n) if g.adj[v] >> u & 1] for v in range(g.n)]
+    ids: dict = {}
+    colour = [ids.setdefault(lab, len(ids)) for lab in g.labels]
+    while True:
+        count, ids = len(ids), {}
+        signature = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v])))
+                     for v in range(g.n)]
+        colour = [ids.setdefault(s, len(ids)) for s in signature]
+        if len(ids) == count:
+            return colour
+
+
+def labelled_aut_group(g: LabeledGraph) -> AutGroup:
+    """Aut of g by its stabiliser chain, found by searching, not listing.
+
+    Level i is the subgroup fixing vertices 0..i-1.  The orbit of vertex
+    i under it is grown from the automorphisms found so far at that
+    level; each vertex t it has not reached yet costs one backtracking
+    search for an automorphism that fixes 0..i-1 and sends i to t
+    (individualisation and extension, McKay & Piperno, Practical graph
+    isomorphism II, 2014), unless t differs from i in refined colour or
+    in adjacency to 0..i-1, which rules such an automorphism out.  |Aut|
+    is the product of the level orbit sizes, and the automorphisms found
+    generate Aut (orbit-stabiliser; Seress, Permutation Group Algorithms,
+    2003).  At most n^2/2 searches, each stopping at its first hit,
+    against |Aut| leaves for a listing.
+    """
+    _check_searchable(g)
+    V = range(g.n)
+    colour = _refined_colours(g)
+    order, gens = 1, []
+    for i in V:
+        prefix = [(v, v) for v in range(i)]
+        prefix_mask = (1 << i) - 1
+        level: list[Perm] = []
+        orbit = {i}
+        for t in range(i + 1, g.n):
+            if (t in orbit or colour[t] != colour[i]
+                    or (g.adj[t] ^ g.adj[i]) & prefix_mask):
+                continue
+            sigma = next(labelled_isomorphisms(g, V, V, prefix + [(i, t)]),
+                         None)
+            if sigma is not None:
+                level.append(sigma)
+                orbit = _transversal(g.n, level, i, tuple.__getitem__)
+        order *= len(orbit)
+        gens += level
+    return AutGroup(g.n, order, tuple(gens))
 
 
 def valid_aut0_gens(g: LabeledGraph) -> list[AutGen]:

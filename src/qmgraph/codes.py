@@ -19,21 +19,29 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .graphs import LabeledGraph
-from .words import NormalWord, WordError, syllables
+from .words import Letter, NormalWord, WordError, syllable_letters
 
 Partition = tuple[frozenset[int], frozenset[int]]
 
 
-def side_tuple(x: NormalWord, partition: Partition, side: str) -> list[NormalWord]:
-    """The blocks of the requested side, in order."""
+def _side_letters(x: NormalWord, partition: Partition,
+                  side: str) -> list[tuple[Letter, ...]]:
+    """The letters of each block of the requested side, in order."""
     if side not in ("A", "B"):
         raise WordError(f"side must be A or B, got {side!r}")
-    return [blk for s, blk in syllables(x, partition) if s == side]
+    return [run for s, run in syllable_letters(x, partition) if s == side]
+
+
+def side_tuple(x: NormalWord, partition: Partition, side: str) -> list[NormalWord]:
+    """The blocks of the requested side, in order."""
+    return [NormalWord(x.graph, run, _canonical_input=True)
+            for run in _side_letters(x, partition, side)]
 
 
 def code(x: NormalWord, partition: Partition, side: str) -> tuple[int, ...]:
-    """Run-length sequence of the side tuple under block equality."""
-    blocks = side_tuple(x, partition, side)
+    """Run-length sequence of the side tuple under block equality, read
+    off the blocks' letter tuples."""
+    blocks = _side_letters(x, partition, side)
     runs: list[int] = []
     prev = None
     for blk in blocks:
@@ -51,8 +59,7 @@ def weighted_z_code(x: NormalWord, partition: Partition) -> tuple[int, ...]:
     g = x.graph
     if len(A) != 1 or not g.labels[next(iter(A))].is_infinite:
         raise WordError("weighted Z-code needs side A = one Z-labeled vertex")
-    blocks = side_tuple(x, partition, "A")
-    exps = [blk.letters[0][1] for blk in blocks]
+    exps = [run[0][1] for run in _side_letters(x, partition, "A")]
     out: list[int] = []
     cur = 0
     for e in exps:

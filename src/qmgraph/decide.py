@@ -12,6 +12,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from . import evaluators as ev
+from .autos import labelled_aut_group
 from .evaluators import _single_z, _single_z2
 from .graphs import (GraphError, LabeledGraph, TauClassification,
                      connected_components, expand, is_lower_cone,
@@ -318,7 +319,7 @@ def find_invariant_cones(g: LabeledGraph):
     m = len(tc.classes)
     if m > CLASS_CAP:
         raise GraphError("too many ~_tau classes to enumerate cones")
-    lgas = None
+    orbit_of = None
     out = []
     for bits in range(1, 1 << m):
         chosen = [i for i in range(m) if bits >> i & 1]
@@ -334,10 +335,12 @@ def find_invariant_cones(g: LabeledGraph):
             continue
         if all(_single_z2(g, c) for c in comps):
             continue
-        if lgas is None:
-            from .autos import enum_labelled_graph_autos
-            lgas = enum_labelled_graph_autos(g)
-        if any(frozenset(s.perm[v] for v in cone) != cone for s in lgas):
+        if orbit_of is None:
+            orbit_of = {v: orbit for orbit
+                        in labelled_aut_group(g).vertex_orbits()
+                        for v in orbit}
+        # invariant exactly when a union of vertex orbits
+        if any(not orbit_of[v] <= cone for v in cone):
             continue
         out.append((cone, comps))
     out.sort(key=lambda p: (len(p[0]), sorted(p[0])))

@@ -2,8 +2,23 @@
 
 An evaluator is a counting quasimorphism on the free product spanned by a
 lower cone, precomposed with the standard retraction, homogenised, and
-optionally averaged over all labelled graph automorphisms.  All values are
-exact rationals whenever the homogenisation detects a stable period.
+optionally averaged over all labelled graph automorphisms (as a sum, not
+a mean).  All values are exact rationals whenever the homogenisation
+detects a stable period.
+
+The sum runs over the orbit of the side pair, not over Aut.  Let J be
+the automorphisms fixing A and B.  They permute the blocks of each side
+and keep block equality, so f(jy) = f(y) for j in J, and f(sigma x) is
+constant on each right coset J sigma.  These cosets match the images
+rho(A, B) = sigma^-1(A, B), hence
+
+    sum over sigma in Aut of f(sigma x) = |J| * sum over rho of f(rho^-1 x),
+
+with one rho per image of (A, B) and |J| = |Aut| / |orbit|.  The terms
+are the same homogenised values, so the value, exactness and error
+bound equal those of the full sum.  The cost is O(|orbit|) terms plus
+the stabiliser-chain search of autos.labelled_aut_group, against |Aut|
+terms for the full sum (5040 against 42 on K_{1,7}).
 """
 
 from __future__ import annotations
@@ -13,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import codes
-from .autos import (LabelledGraphAut, apply_gen, enum_labelled_graph_autos,
+from .autos import (LabelledGraphAut, apply_gen, labelled_aut_group,
                     labelled_isomorphisms)
 from .codes import HomogValue, homogenise, is_generic
 from .graphs import LabeledGraph, connected_components, is_lower_cone
@@ -77,7 +92,7 @@ class Evaluator:
         self.defect_estimate = Fraction(defect_estimate)
         self.unchecked = unchecked
         self._homog_cache: dict[tuple, HomogValue] = {}
-        self._lga: Optional[list[LabelledGraphAut]] = None
+        self._cosets: Optional[tuple[int, list[LabelledGraphAut]]] = None
 
     # -- base counting function over the cone's free product ----------------
 
@@ -102,10 +117,17 @@ class Evaluator:
             self._homog_cache[key] = got
         return got
 
-    def lga(self) -> list[LabelledGraphAut]:
-        if self._lga is None:
-            self._lga = enum_labelled_graph_autos(self.graph)
-        return self._lga
+    def cosets(self) -> tuple[int, list[LabelledGraphAut]]:
+        """|J| and one automorphism rho^-1 per image rho(A, B), where J
+        fixes A and B (see the module docstring); built on first use."""
+        if self._cosets is None:
+            group = labelled_aut_group(self.graph)
+            orbit = group.pair_orbit(*self.partition)
+            self._cosets = (group.order // len(orbit), [
+                LabelledGraphAut(tuple(sorted(range(group.n),
+                                              key=rho.__getitem__)))
+                for rho in orbit.values()])
+        return self._cosets
 
 
 def build(graph: LabeledGraph, cone: frozenset[int],
@@ -189,7 +211,7 @@ def average(e: Evaluator) -> Evaluator:
                     averaged=True, defect_estimate=e.defect_estimate,
                     unchecked=e.unchecked)
     out._homog_cache = e._homog_cache
-    out._lga = e._lga
+    out._cosets = e._cosets
     return out
 
 
@@ -199,28 +221,28 @@ def evaluate(e: Evaluator, x: NormalWord) -> QMValue:
         raise BuildError("word over a different graph")
     if not e.averaged:
         return e._homog(retraction(x, e.cone))
+    size, reps = e.cosets()
     total = Fraction(0)
     exact = True
     err = Fraction(0)
-    for sigma in e.lga():
+    for sigma in reps:
         term = e._homog(retraction(apply_gen(sigma, x), e.cone))
         total += term.value
         exact = exact and term.exact
         err += term.error_bound
     if exact:
-        return HomogValue(total, True)
-    return HomogValue(total, False, err)
+        return HomogValue(size * total, True)
+    return HomogValue(size * total, False, size * err)
 
 
 def stabilizer_count(graph: LabeledGraph, cone: frozenset[int],
                      partition: tuple[frozenset[int], frozenset[int]]) -> int:
-    """|J|: labelled graph automorphisms fixing the cone and the side pair."""
+    """|J|: labelled graph automorphisms fixing the cone and the side pair
+    {A, B}, as |Aut| over the size of the orbit of {A, B}; 0 when A | B
+    is not the cone."""
     A, B = frozenset(partition[0]), frozenset(partition[1])
-    cone = frozenset(cone)
-    count = 0
-    for sigma in enum_labelled_graph_autos(graph):
-        pA = frozenset(sigma.perm[v] for v in A)
-        pB = frozenset(sigma.perm[v] for v in B)
-        if pA | pB == cone and {pA, pB} == {A, B}:
-            count += 1
-    return count
+    group = labelled_aut_group(graph)
+    if A | B != frozenset(cone):
+        return 0
+    images = {frozenset(p) for p in group.pair_orbit(A, B)}
+    return group.order // len(images)

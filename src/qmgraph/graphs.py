@@ -404,21 +404,24 @@ def center_support(g: LabeledGraph) -> frozenset[int]:
 
 def connected_components(g: LabeledGraph, X: Iterable[int]) -> list[frozenset[int]]:
     """Components of the induced subgraph on X, ordered by least vertex."""
-    remaining = set(X)
+    remaining = 0
+    for v in X:
+        remaining |= 1 << v
     comps = []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
+        comp = frontier = remaining & -remaining  # the least vertex left
+        members = []
         while frontier:
-            v = frontier.pop()
-            for w in remaining - comp:
-                if g.adjacent(v, w):
-                    comp.add(w)
-                    frontier.append(w)
-        comps.append(frozenset(comp))
-        remaining -= comp
-    return sorted(comps, key=min)
+            low = frontier & -frontier
+            frontier ^= low
+            v = low.bit_length() - 1
+            members.append(v)
+            new = g.adj[v] & remaining & ~comp
+            comp |= new
+            frontier |= new
+        remaining &= ~comp
+        comps.append(frozenset(members))
+    return comps
 
 
 def direct_factor_decomposition(g: LabeledGraph) -> list[frozenset[int]]:

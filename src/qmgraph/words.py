@@ -204,13 +204,13 @@ def check_free_partition(g: LabeledGraph, A: frozenset[int], B: frozenset[int]):
                     f"edge between sides: {g.names[a]} {g.names[b]}")
 
 
-def syllables(x: NormalWord,
-              partition: tuple[frozenset[int], frozenset[int]]
-              ) -> list[tuple[str, NormalWord]]:
-    """Alternating block decomposition of x in the free product W_A * W_B.
+def syllable_letters(x: NormalWord,
+                     partition: tuple[frozenset[int], frozenset[int]]
+                     ) -> list[tuple[str, tuple[Letter, ...]]]:
+    """The letters of each block of syllables(x, partition), in order.
 
-    Returns [(side, block), ...] with side in {"A", "B"}; blocks are
-    canonical words over the ambient graph supported in one side.
+    A contiguous run of a normal word is normal and merge-free, so two
+    blocks are equal exactly when their letter tuples are.
     """
     A, B = partition
     g = x.graph
@@ -223,9 +223,19 @@ def syllables(x: NormalWord,
         if not runs or runs[-1][0] != side:
             runs.append((side, []))
         runs[-1][1].append((v, e))
-    # a contiguous run of a normal word is normal and merge-free
-    return [(side, NormalWord(g, run, _canonical_input=True))
-            for side, run in runs]
+    return [(side, tuple(run)) for side, run in runs]
+
+
+def syllables(x: NormalWord,
+              partition: tuple[frozenset[int], frozenset[int]]
+              ) -> list[tuple[str, NormalWord]]:
+    """Alternating block decomposition of x in the free product W_A * W_B.
+
+    Returns [(side, block), ...] with side in {"A", "B"}; blocks are
+    canonical words over the ambient graph supported in one side.
+    """
+    return [(side, NormalWord(x.graph, run, _canonical_input=True))
+            for side, run in syllable_letters(x, partition)]
 
 
 def random_word(g: LabeledGraph, length: int, seed: int) -> NormalWord:

@@ -8,7 +8,7 @@ import pytest
 import autos_reference as letterwise
 from qmgraph.autos import (AutError, AutWord, FactorAut, LabelledGraphAut,
                            PartialConj, Transvection, apply, apply_gen,
-                           enum_labelled_graph_autos,
+                           enum_labelled_graph_autos, labelled_aut_group,
                            labelled_isomorphisms, random_aut0,
                            valid_aut0_gens, validate_gen)
 from qmgraph.evaluators import labeled_isomorphic
@@ -64,6 +64,11 @@ def test_labelled_isomorphisms_match_brute_force():
                             == g.adjacent(p[a], p[b])
                             for a in range(k) for b in range(a + 1, k))]
             assert list(labelled_isomorphisms(g, xs, ys)) == want
+            # a fixed partial map keeps exactly the maps that contain it
+            a, b = rng.randrange(k), rng.randrange(k)
+            fixed = [(xs[a], ys[b])]
+            assert list(labelled_isomorphisms(g, xs, ys, fixed)) == [
+                p for p in want if p[a] == ys[b]]
             assert labeled_isomorphic(g, frozenset(xs),
                                       frozenset(ys)) == bool(want)
 
@@ -73,6 +78,35 @@ def test_lga_enumeration_vertex_bound():
     from qmgraph.graphs import GraphError
     with pytest.raises(GraphError, match=r"vertex bound exceeded \(17 > 16\)"):
         enum_labelled_graph_autos(g)
+    with pytest.raises(GraphError, match=r"vertex bound exceeded \(17 > 16\)"):
+        labelled_aut_group(g)
+
+
+def test_aut_group_matches_brute_force():
+    """|Aut|, the vertex orbits and the orbit of a side pair, with its
+    representatives, against all permutations of seeded graphs."""
+    rng = random.Random(11)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        density = rng.random()
+        g = expand(parse_graph(
+            "".join(f"vertex v{i} {rng.choice(['Z', 'Z/2', 'Z/3'])}\n"
+                    for i in range(n))
+            + "".join(f"edge v{i} v{j}\n" for i in range(n)
+                      for j in range(i + 1, n) if rng.random() < density)))
+        perms = brute_force_lgas(g)
+        group = labelled_aut_group(g)
+        assert group.order == len(perms)
+        orbits = {frozenset(p[v] for p in perms) for v in range(g.n)}
+        assert group.vertex_orbits() == sorted(orbits, key=min)
+        A = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        B = frozenset(rng.sample(range(g.n), rng.randint(0, g.n)))
+        image = lambda p, S: frozenset(p[v] for v in S)
+        reps = group.pair_orbit(A, B)
+        assert set(reps) == {(image(p, A), image(p, B)) for p in perms}
+        for (pA, pB), rho in reps.items():
+            assert rho in perms
+            assert (image(rho, A), image(rho, B)) == (pA, pB)
 
 
 def test_lga_preserves_tau_classes():

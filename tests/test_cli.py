@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from qmgraph import autos, cli, decide, evaluators
 from qmgraph.cli import corpus_dir, main, run_examples
 
 Z5Z3 = "vertex v0 Z/5\nvertex v1 Z/3\n"
@@ -295,6 +296,39 @@ def test_size_caps_are_exit_3(capsys, tmp_path):
                        "--cone", "a,b", "--partA", "a", "--partB", "b")
     assert code == 3
     assert err == "error: vertex bound exceeded (17 > 16)\n"
+
+
+def test_eval_avg_on_a_large_star_sums_over_the_pair_orbit(
+        capsys, tmp_path, monkeypatch):
+    """K_{1,9} has 9! = 362880 automorphisms but the side pair (l0, l1)
+    only 72 images: eval --avg applies one automorphism per image and
+    never lists the group."""
+    star9 = _write(tmp_path, "star9.graph",
+                   ["vertex c Z"] + [f"vertex l{i} Z/3" for i in range(9)]
+                   + [f"edge c l{i}" for i in range(9)])
+    applied = []
+
+    def counted(gen, x):
+        applied.append(gen)
+        return autos.apply_gen(gen, x)
+
+    def refuse(g):
+        raise AssertionError("the automorphism group was listed")
+
+    monkeypatch.setattr(evaluators, "apply_gen", counted)
+    for module in (autos, evaluators, cli, decide):
+        monkeypatch.setattr(module, "enum_labelled_graph_autos", refuse,
+                            raising=False)
+    word = ("l0 l1 l0^2 l1 l0^2 l1 l0 l1 l0 l1 l0 l1 l0^2 l1 l0^2 l1 "
+            "l0^2 l1 l0^2 l1")
+    code, out, _ = run(capsys, "eval", star9, "--avg", "--kind", "sum",
+                       "--cone", "l0,l1", "--partA", "l0", "--partB", "l1",
+                       "--word", word)
+    assert code == 0
+    # 7! automorphisms fix l0 and l1; the images (l0, l1) and (l1, l0)
+    # each add the unaveraged value 1
+    assert out == "value=10080 exact=True err<=0\n"
+    assert len(applied) <= 72
 
 
 def test_witness_on_too_many_classes_is_exit_3(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Codes, pattern counting, genericity, and homogenisation."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,7 @@ from qmgraph.codes import (code, code_qm, count_disjoint, homogenise,
                            weighted_theta, weighted_z_code)
 from qmgraph.evaluators import Code, Evaluator, SumBothSides, WeightedZ
 from qmgraph.graphs import expand, parse_graph
-from qmgraph.words import NormalWord, WordError, parse_word
+from qmgraph.words import NormalWord, WordError, parse_word, syllables
 
 from conftest import edgeless
 
@@ -207,3 +207,15 @@ def test_one_code_matches_two_pass_definition(case, z, k):
         kinds.append((WeightedZ(z), want))
     for kind, want in kinds:
         assert Evaluator(g, part[0] | part[1], part, kind).base(x) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(free_product_words(), st.sampled_from([1, 2, 3, -2]))
+def test_code_matches_block_run_lengths(case, k):
+    """code reads letter tuples; the definition compares the blocks."""
+    g, part, x, _ = case
+    x = x ** k
+    for side in "AB":
+        blocks = [blk for s, blk in syllables(x, part) if s == side]
+        assert code(x, part, side) == tuple(
+            len(list(run)) for _, run in groupby(blocks))

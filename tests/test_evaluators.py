@@ -1,14 +1,20 @@
 """Evaluator construction rules, averaging, and restriction scaling."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from qmgraph.autos import apply_gen, enum_labelled_graph_autos
+from qmgraph.codes import HomogValue
 from qmgraph.evaluators import (BuildError, Code, SumBothSides, WeightedZ,
                                 average, build, evaluate, labeled_isomorphic,
                                 stabilizer_count)
-from qmgraph.graphs import expand, parse_graph
-from qmgraph.words import parse_word
+from qmgraph.graphs import (connected_components, expand, is_lower_cone,
+                            parse_graph)
+from qmgraph.words import NormalWord, parse_word, retraction
 
 from conftest import edgeless, figure1_raag, ngon
 
@@ -220,3 +226,130 @@ def test_averaged_error_bounds_accumulate():
     got = evaluate(a, x)
     if not got.exact:
         assert got.error_bound >= evaluate(e, x).error_bound
+
+
+# -- orbit-level averaging against the whole group ---------------------------
+
+def full_group_sum(e, x):
+    """The averaged value as a sum of one term per labelled graph
+    automorphism, listed by enumeration."""
+    total, exact, err = Fraction(0), True, Fraction(0)
+    for sigma in enum_labelled_graph_autos(e.graph):
+        term = e._homog(retraction(apply_gen(sigma, x), e.cone))
+        total += term.value
+        exact = exact and term.exact
+        err += term.error_bound
+    return HomogValue(total, True) if exact else HomogValue(total, False, err)
+
+
+def brute_force_stabilizer_count(g, cone, partition):
+    A, B = partition
+    count = 0
+    for sigma in enum_labelled_graph_autos(g):
+        pA = frozenset(sigma.perm[v] for v in A)
+        pB = frozenset(sigma.perm[v] for v in B)
+        count += pA | pB == cone and {pA, pB} == {A, B}
+    return count
+
+
+def test_stabilizer_count_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        density = rng.random()
+        g = expand(parse_graph(
+            "".join(f"vertex v{i} {rng.choice(['Z', 'Z/2', 'Z/3'])}\n"
+                    for i in range(n))
+            + "".join(f"edge v{i} v{j}\n" for i in range(n)
+                      for j in range(i + 1, n) if rng.random() < density)))
+        vs = rng.sample(range(g.n), rng.randint(2, g.n))
+        k = rng.randint(1, len(vs) - 1)
+        A, B = frozenset(vs[:k]), frozenset(vs[k:])
+        cone = A | B if rng.random() < 0.9 else A
+        assert stabilizer_count(g, cone, (A, B)) == \
+            brute_force_stabilizer_count(g, cone, (A, B))
+
+
+LABELS = ["Z", "Z/2", "Z/3", "Z/4"]
+
+
+def _letter(rng, g, S):
+    v = rng.choice(sorted(S))
+    order = g.labels[v].order
+    return (v, rng.choice([-2, -1, 1, 2]) if order is None
+            else rng.randrange(1, order))
+
+
+@st.composite
+def averaged_cases(draw):
+    """An evaluator of each kind on a free product of two graphs with at
+    most 8 vertices, over a lower cone that splits, with homogenisation
+    parameters small enough to leave some values inexact, and a word u w v:
+    w realises z in the evaluator's code as decide's witnesses do, and u, v
+    are short words on the whole graph, so the terms differ by image."""
+    sizes = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    labels = [draw(st.sampled_from(LABELS)) for _ in range(sum(sizes))]
+    n = len(labels)
+    text = "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labels))
+    for lo, hi in ((0, sizes[0]), (sizes[0], n)):
+        text += "".join(f"edge v{i} v{j}\n" for i in range(lo, hi)
+                        for j in range(i + 1, hi) if draw(st.booleans()))
+    g = expand(parse_graph(text))
+    assume(g.n <= 8)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    cones = [(frozenset(X), comps)
+             for r in range(2, g.n + 1)
+             for X in combinations(range(g.n), r)
+             if is_lower_cone(g, frozenset(X))
+             and len(comps := connected_components(g, X)) > 1]
+    cone, comps = rng.choice(cones)
+    picked = rng.sample(comps, rng.randint(1, len(comps) - 1))
+    A = frozenset().union(*picked)
+    B = cone - A
+    z = rng.choice([(1, 2, 3), (2, 1, 3)])
+    kinds = [Code("A", z), Code("B", z), SumBothSides(z)]
+    if len(A) == 1 and g.labels[min(A)].is_infinite:
+        kinds.append(WeightedZ(z))
+    kind = rng.choice(kinds)
+    params = rng.choice([(3, 1), (4, 1), (5, 2), (16, 4)])
+    e = build(g, cone, (A, B), kind, homog_params=params,
+              defect_estimate=Fraction(3), unchecked=True)
+    S, T = (B, A) if kind == Code("B", z) else (A, B)
+    blocks = [_letter(rng, g, S), _letter(rng, g, S)]
+    # with an odd number of runs the last run merges into the first one
+    # of the next power, which leaves short scans inexact
+    runs = rng.choice([z, z + (4,)])
+    w = [c for i, r in enumerate(runs) for _ in range(r)
+         for c in (blocks[i % 2], _letter(rng, g, T))]
+    if isinstance(kind, WeightedZ):
+        w = [c for i, r in enumerate(runs)
+             for c in ((min(A), (-1) ** i * r), _letter(rng, g, T))]
+    V = range(g.n)
+    u, v = ([_letter(rng, g, V) for _ in range(rng.randint(0, 3))]
+            for _ in range(2))
+    return e, NormalWord(g, u + w + v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(averaged_cases())
+def test_averaged_evaluate_matches_full_group_sum(case):
+    e, x = case
+    assume(len(enum_labelled_graph_autos(e.graph)) <= 5040)
+    got = evaluate(average(e), x)
+    want = full_group_sum(e, x)
+    assert (got.value, got.exact, got.error_bound) == \
+        (want.value, want.exact, want.error_bound)
+
+
+def test_averaged_evaluate_sums_over_right_cosets():
+    """The representatives here are not a right transversal, so summing
+    f(rho x) in place of f(rho^-1 x) reads 2 instead of 10/3."""
+    g = expand(edgeless(["Z", "Z/2", "Z/3", "Z/3", "Z/3", "Z/4", "Z"]))
+    e = build(g, frozenset({0, 4, 5, 6}), part({4, 5, 6}, {0}),
+              SumBothSides(Z123), homog_params=(3, 1),
+              defect_estimate=Fraction(3), unchecked=True)
+    x = parse_word(g, "v5^2 v0^2 v6^-1 v0^-1 v6^-1 v0^-1 v5^2 v0^-2 v5^2 "
+                      "v0^-1 v5^2 v0 v3^2 v5^2")
+    got = evaluate(average(e), x)
+    assert got == full_group_sum(e, x)
+    assert got == HomogValue(Fraction(10, 3), False, Fraction(4))

@@ -9,6 +9,7 @@ from qmgraph.graphs import (GraphError, LabeledGraph, Z, center_support,
                             is_lower_cone, lower_cone_L, parse_graph,
                             primary, tau_classes, FREE, FREE_ABELIAN,
                             FINITE_ABELIAN)
+import graphs_reference as pairwise
 from conftest import figure1_raag, lambda_raag, ngon, path_graph
 
 
@@ -223,6 +224,15 @@ def test_class_table_matches_definition(g):
     assert tc.minimal_classes() == [
         i for i in range(k)
         if not any(rel[(j, i)] for j in range(k) if j != i)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(expanded_graphs(), st.data())
+def test_connected_components_match_previous_version(g, data):
+    X = data.draw(st.sets(st.integers(0, g.n - 1)))
+    for S in (X, range(g.n)):
+        assert connected_components(g, S) == \
+            pairwise.connected_components(g, S)
 
 
 def test_tau_table_checks_indices_and_expansion():
