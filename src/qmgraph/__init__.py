@@ -3,17 +3,17 @@
 from .graphs import (GraphError, LabeledGraph, VertexGroupSpec, Z, cyclic,
                      primary, parse_graph, expand, tau_classes,
                      is_lower_cone, lower_cone_L, center_support,
-                     connected_components, direct_factor_decomposition)
+                     connected_components)
 from .words import (NormalWord, WordError, parse_word, retraction,
-                    syllables, random_word)
+                    random_word)
 from .codes import (code, weighted_z_code, is_generic, theta, code_qm,
                     weighted_theta, weighted_code_qm, homogenise, HomogValue)
 from .autos import (AutError, LabelledGraphAut, FactorAut, Transvection,
-                    PartialConj, AutWord, apply, apply_gen, validate_gen,
+                    PartialConj, AutWord, apply_gen, validate_gen,
                     enum_labelled_graph_autos, AutGroup, labelled_aut_group,
                     valid_aut0_gens, random_aut0)
 from .evaluators import (Evaluator, BuildError, Code, WeightedZ,
-                         SumBothSides, QMValue, build, evaluate, average,
+                         SumBothSides, build, evaluate, average,
                          stabilizer_count, labeled_isomorphic)
 from .decide import (Verdict, WitnessSpec, decide, find_invariant_cones,
                      witness)

@@ -134,12 +134,6 @@ class AutWord:
         return x
 
 
-def apply(gen_or_word: Union[AutGen, AutWord], x: NormalWord) -> NormalWord:
-    if isinstance(gen_or_word, AutWord):
-        return gen_or_word(x)
-    return apply_gen(gen_or_word, x)
-
-
 def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
                           Y: Iterable[int],
                           fixed: Iterable[tuple[int, int]] = ()

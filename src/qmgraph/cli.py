@@ -71,7 +71,7 @@ def _ztuple(arg: str):
     return z
 
 
-def _add_eval_flags(p, avg=True):
+def _add_eval_flags(p):
     p.add_argument("--cone", required=True, help="comma-separated vertices")
     p.add_argument("--partA", required=True, help="side A vertices")
     p.add_argument("--partB", required=True, help="side B vertices")
@@ -80,11 +80,10 @@ def _add_eval_flags(p, avg=True):
     p.add_argument("--side", choices=["A", "B"], default="A",
                    help="code side (default A)")
     p.add_argument("--z", default="1,2,3", help="generic pattern (default 1,2,3)")
-    if avg:
-        p.add_argument("--avg", action="store_true",
-                       help="average over labelled graph automorphisms")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="homogenisation depth (default $QMGRAPH_MAX_N or 64)")
+    p.add_argument("--avg", action="store_true",
+                   help="average over labelled graph automorphisms")
+    p.add_argument("--max-n", type=int, default=64,
+                   help="homogenisation depth (default 64)")
     p.add_argument("--max-period", type=int, default=8,
                    help="period search bound (default 8)")
 
@@ -97,23 +96,14 @@ def _build_from_flags(g: LabeledGraph, args) -> Evaluator:
         kind = WeightedZ(z)
     else:
         kind = SumBothSides(z)
-    max_n = args.max_n
-    if max_n is None:
-        env = os.environ.get("QMGRAPH_MAX_N")
-        try:
-            max_n = int(env) if env else 64
-        except ValueError:
-            print(f"error: QMGRAPH_MAX_N must be an integer, not {env!r}",
-                  file=sys.stderr)
-            raise SystemExit(USAGE_ERR)
     try:
         e = build(g, _vset(g, args.cone),
                      (_vset(g, args.partA), _vset(g, args.partB)), kind,
-                     homog_params=(max_n, args.max_period))
+                     homog_params=(args.max_n, args.max_period))
     except BuildError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(MATH_ERR)
-    return average(e) if getattr(args, "avg", False) else e
+    return average(e) if args.avg else e
 
 
 def _parse_word_or_exit(g, text):
@@ -126,11 +116,9 @@ def _parse_word_or_exit(g, text):
 
 def _print_value(v, as_json=False):
     if as_json:
-        print(json.dumps({"value": _fmt(v.value), "exact": v.exact,
-                          "error_bound": _fmt(v.error_bound)}))
+        print(json.dumps({"value": _fmt(v.value), "exact": v.exact}))
     else:
-        print(f"value={_fmt(v.value)} exact={v.exact} "
-              f"err<={_fmt(v.error_bound)}")
+        print(f"value={_fmt(v.value)} exact={v.exact}")
 
 
 def _witness_json(g, spec):
@@ -334,15 +322,12 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.set_defaults(fn=_cmd_autos)
 
-    for name in ("eval", "homog"):
-        p = sub.add_parser(name, help="evaluate a quasimorphism"
-                           if name == "eval" else
-                           "homogenised unaveraged value")
-        p.add_argument("file")
-        p.add_argument("--word", required=True)
-        _add_eval_flags(p, avg=name == "eval")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(fn=_cmd_eval)
+    p = sub.add_parser("eval", help="evaluate a quasimorphism")
+    p.add_argument("file")
+    p.add_argument("--word", required=True)
+    _add_eval_flags(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("witness", help="decide and emit a witness word")
     p.add_argument("file")

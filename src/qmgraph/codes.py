@@ -32,12 +32,6 @@ def _side_letters(x: NormalWord, partition: Partition,
     return [run for s, run in syllable_letters(x, partition) if s == side]
 
 
-def side_tuple(x: NormalWord, partition: Partition, side: str) -> list[NormalWord]:
-    """The blocks of the requested side, in order."""
-    return [NormalWord(x.graph, run, _canonical_input=True)
-            for run in _side_letters(x, partition, side)]
-
-
 def code(x: NormalWord, partition: Partition, side: str) -> tuple[int, ...]:
     """Run-length sequence of the side tuple under block equality, read
     off the blocks' letter tuples."""
@@ -136,22 +130,16 @@ class HomogValue:
 
     value: Fraction
     exact: bool
-    error_bound: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if self.exact and self.error_bound != 0:
-            raise ValueError("exact values carry no error bound")
 
 
 def homogenise(f: Callable[[NormalWord], int], x: NormalWord,
-               max_n: int = 64, max_period: int = 8,
-               defect_estimate: Fraction = Fraction(0)) -> HomogValue:
+               max_n: int = 64, max_period: int = 8) -> HomogValue:
     """Limit of f(x^n)/n, detected through eventually periodic increments.
 
     Scans s_n = f(x^n) for n = 1..max_n.  If for some period p <= max_period
     the differences s_{n+p} - s_n are constant c from some offset n0 <=
     max_n/2 onward, the limit is exactly c/p.  Otherwise returns the
-    approximation s_max/max_n with error bound defect_estimate/max_n.
+    approximation s_max/max_n, flagged inexact.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
@@ -184,5 +172,4 @@ def homogenise(f: Callable[[NormalWord], int], x: NormalWord,
             got = detect(s, n)
             if got is not None:
                 return got
-    return HomogValue(Fraction(s[max_n], max_n), False,
-                      Fraction(defect_estimate) / max_n)
+    return HomogValue(Fraction(s[max_n], max_n), False)

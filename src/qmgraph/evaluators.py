@@ -15,8 +15,8 @@ rho(A, B) = sigma^-1(A, B), hence
     sum over sigma in Aut of f(sigma x) = |J| * sum over rho of f(rho^-1 x),
 
 with one rho per image of (A, B) and |J| = |Aut| / |orbit|.  The terms
-are the same homogenised values, so the value, exactness and error
-bound equal those of the full sum.  The cost is O(|orbit|) terms plus
+are the same homogenised values, so the value and exactness equal
+those of the full sum.  The cost is O(|orbit|) terms plus
 the stabiliser-chain search of autos.labelled_aut_group, against |Aut|
 terms for the full sum (5040 against 42 on K_{1,7}).
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import codes
 from .autos import (LabelledGraphAut, apply_gen, labelled_aut_group,
@@ -33,8 +33,6 @@ from .autos import (LabelledGraphAut, apply_gen, labelled_aut_group,
 from .codes import HomogValue, homogenise, is_generic
 from .graphs import LabeledGraph, connected_components, is_lower_cone
 from .words import NormalWord, retraction
-
-QMValue = HomogValue
 
 
 class BuildError(ValueError):
@@ -75,22 +73,19 @@ def _single_z2(g: LabeledGraph, S: frozenset[int]) -> bool:
 
 
 class Evaluator:
-    """A validated (cone, partition, kind) quasimorphism pipeline."""
+    """A (cone, partition, kind) quasimorphism pipeline; build() validates
+    it, the constructor does not."""
 
     def __init__(self, graph: LabeledGraph, cone: frozenset[int],
                  partition: tuple[frozenset[int], frozenset[int]],
                  kind: Kind, homog_params: tuple[int, int] = (64, 8),
-                 averaged: bool = False,
-                 defect_estimate: Fraction = Fraction(0),
-                 unchecked: bool = False):
+                 averaged: bool = False):
         self.graph = graph
         self.cone = frozenset(cone)
         self.partition = (frozenset(partition[0]), frozenset(partition[1]))
         self.kind = kind
         self.homog_params = homog_params
         self.averaged = averaged
-        self.defect_estimate = Fraction(defect_estimate)
-        self.unchecked = unchecked
         self._homog_cache: dict[tuple, HomogValue] = {}
         self._cosets: Optional[tuple[int, list[LabelledGraphAut]]] = None
 
@@ -112,8 +107,7 @@ class Evaluator:
         got = self._homog_cache.get(key)
         if got is None:
             max_n, max_period = self.homog_params
-            got = homogenise(self.base, w, max_n, max_period,
-                             self.defect_estimate)
+            got = homogenise(self.base, w, max_n, max_period)
             self._homog_cache[key] = got
         return got
 
@@ -132,15 +126,8 @@ class Evaluator:
 
 def build(graph: LabeledGraph, cone: frozenset[int],
           partition: tuple[frozenset[int], frozenset[int]], kind: Kind,
-          homog_params: tuple[int, int] = (64, 8),
-          defect_estimate: Fraction = Fraction(0),
-          unchecked: bool = False) -> Evaluator:
-    """Validate the evaluator invariants and the kind's case conditions.
-
-    With unchecked=True only the structural checks run (cone, partition,
-    pattern); the existence-theorem gating is skipped and resulting values
-    carry no invariance guarantee.  Intended for diagnostics and tests.
-    """
+          homog_params: tuple[int, int] = (64, 8)) -> Evaluator:
+    """Validate the evaluator invariants and the kind's case conditions."""
     cone = frozenset(cone)
     A, B = frozenset(partition[0]), frozenset(partition[1])
     if not graph.is_expanded():
@@ -169,53 +156,49 @@ def build(graph: LabeledGraph, cone: frozenset[int],
         raise BuildError("homogenisation needs max_n >= 2 and "
                          "max_period >= 1")
 
-    if not unchecked:
-        az = _single_z(graph, A)
-        bz = _single_z(graph, B)
-        if az and bz:
+    az = _single_z(graph, A)
+    bz = _single_z(graph, B)
+    if az and bz:
+        raise BuildError("non-constructive base (F2)")
+    for name, S in (("A", A), ("B", B)):
+        if len(S) > 1 and len(connected_components(graph, S)) > 1:
+            raise BuildError(
+                f"side {name} is a nontrivial free product; "
+                "split it into factors instead")
+    if isinstance(kind, WeightedZ):
+        if not az:
+            raise BuildError("WeightedZ needs side A = single Z vertex")
+        if bz:
             raise BuildError("non-constructive base (F2)")
-        for name, S in (("A", A), ("B", B)):
-            if len(S) > 1 and len(connected_components(graph, S)) > 1:
-                raise BuildError(
-                    f"side {name} is a nontrivial free product; "
-                    "split it into factors instead")
-        if isinstance(kind, WeightedZ):
-            if not az:
-                raise BuildError("WeightedZ needs side A = single Z vertex")
-            if bz:
-                raise BuildError("non-constructive base (F2)")
-        elif isinstance(kind, Code):
-            if az or bz:
-                raise BuildError("Code kind needs both sides non-Z; "
-                                 "use WeightedZ for a Z side")
-            if labeled_isomorphic(graph, A, B):
-                raise BuildError("sides isomorphic; use SumBothSides")
-            side = A if kind.side == "A" else B
-            if _single_z2(graph, side):
-                raise BuildError("chosen side must not be Z/2")
-        elif isinstance(kind, SumBothSides):
-            if az or bz:
-                raise BuildError("SumBothSides needs both sides non-Z")
-            if not labeled_isomorphic(graph, A, B):
-                raise BuildError("sides not isomorphic; use Code")
-            if _single_z2(graph, A):
-                raise BuildError("sides must not be Z/2 (D-infinity base)")
-    return Evaluator(graph, cone, (A, B), kind, homog_params,
-                     averaged=False, defect_estimate=defect_estimate,
-                     unchecked=unchecked)
+    elif isinstance(kind, Code):
+        if az or bz:
+            raise BuildError("Code kind needs both sides non-Z; "
+                             "use WeightedZ for a Z side")
+        if labeled_isomorphic(graph, A, B):
+            raise BuildError("sides isomorphic; use SumBothSides")
+        side = A if kind.side == "A" else B
+        if _single_z2(graph, side):
+            raise BuildError("chosen side must not be Z/2")
+    elif isinstance(kind, SumBothSides):
+        if az or bz:
+            raise BuildError("SumBothSides needs both sides non-Z")
+        if not labeled_isomorphic(graph, A, B):
+            raise BuildError("sides not isomorphic; use Code")
+        if _single_z2(graph, A):
+            raise BuildError("sides must not be Z/2 (D-infinity base)")
+    return Evaluator(graph, cone, (A, B), kind, homog_params)
 
 
 def average(e: Evaluator) -> Evaluator:
     """The evaluator summing over all labelled graph automorphisms."""
     out = Evaluator(e.graph, e.cone, e.partition, e.kind, e.homog_params,
-                    averaged=True, defect_estimate=e.defect_estimate,
-                    unchecked=e.unchecked)
+                    averaged=True)
     out._homog_cache = e._homog_cache
     out._cosets = e._cosets
     return out
 
 
-def evaluate(e: Evaluator, x: NormalWord) -> QMValue:
+def evaluate(e: Evaluator, x: NormalWord) -> HomogValue:
     """Homogenised (and, if averaged, automorphism-summed) value at x."""
     if x.graph is not e.graph:
         raise BuildError("word over a different graph")
@@ -224,15 +207,11 @@ def evaluate(e: Evaluator, x: NormalWord) -> QMValue:
     size, reps = e.cosets()
     total = Fraction(0)
     exact = True
-    err = Fraction(0)
     for sigma in reps:
         term = e._homog(retraction(apply_gen(sigma, x), e.cone))
         total += term.value
         exact = exact and term.exact
-        err += term.error_bound
-    if exact:
-        return HomogValue(size * total, True)
-    return HomogValue(size * total, False, size * err)
+    return HomogValue(size * total, exact)
 
 
 def stabilizer_count(graph: LabeledGraph, cone: frozenset[int],
@@ -241,8 +220,8 @@ def stabilizer_count(graph: LabeledGraph, cone: frozenset[int],
     {A, B}, as |Aut| over the size of the orbit of {A, B}; 0 when A | B
     is not the cone."""
     A, B = frozenset(partition[0]), frozenset(partition[1])
-    group = labelled_aut_group(graph)
     if A | B != frozenset(cone):
         return 0
+    group = labelled_aut_group(graph)
     images = {frozenset(p) for p in group.pair_orbit(A, B)}
     return group.order // len(images)

@@ -422,26 +422,3 @@ def connected_components(g: LabeledGraph, X: Iterable[int]) -> list[frozenset[in
         remaining &= ~comp
         comps.append(frozenset(members))
     return comps
-
-
-def direct_factor_decomposition(g: LabeledGraph) -> list[frozenset[int]]:
-    """Finest splitting of V with complete adjacency between parts.
-
-    These are the connected components of the complement graph; each part
-    spans a cartesian direct factor of the graph product.
-    """
-    remaining = set(range(g.n))
-    parts = []
-    while remaining:
-        seed = min(remaining)
-        part = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for w in remaining - part:
-                if not g.adjacent(v, w):
-                    part.add(w)
-                    frontier.append(w)
-        parts.append(frozenset(part))
-        remaining -= part
-    return sorted(parts, key=min)

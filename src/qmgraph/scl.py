@@ -38,6 +38,8 @@ class DefectEstimate:
     def __post_init__(self):
         if self.empirical_max < 0:
             raise ValueError("empirical_max must be nonnegative")
+        if self.user_bound is not None and self.user_bound < 0:
+            raise ValueError("user_bound must be nonnegative")
         if (self.user_bound is not None
                 and self.user_bound < self.empirical_max):
             raise ValueError("user_bound contradicts the empirical maximum")

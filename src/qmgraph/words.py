@@ -186,7 +186,7 @@ def parse_word(g: LabeledGraph, text: str) -> NormalWord:
     return NormalWord(g, letters)
 
 
-# -- retractions and syllables -------------------------------------------------
+# -- retractions and syllable blocks -------------------------------------------
 
 def retraction(x: NormalWord, X: frozenset[int]) -> NormalWord:
     """Standard retraction: delete every letter outside X."""
@@ -207,10 +207,12 @@ def check_free_partition(g: LabeledGraph, A: frozenset[int], B: frozenset[int]):
 def syllable_letters(x: NormalWord,
                      partition: tuple[frozenset[int], frozenset[int]]
                      ) -> list[tuple[str, tuple[Letter, ...]]]:
-    """The letters of each block of syllables(x, partition), in order.
+    """Alternating block decomposition of x in the free product W_A * W_B.
 
-    A contiguous run of a normal word is normal and merge-free, so two
-    blocks are equal exactly when their letter tuples are.
+    Returns [(side, letters), ...] with side in {"A", "B"}: the letters of
+    each block, in order.  A contiguous run of a normal word is normal and
+    merge-free, so two blocks are equal exactly when their letter tuples
+    are.
     """
     A, B = partition
     g = x.graph
@@ -224,18 +226,6 @@ def syllable_letters(x: NormalWord,
             runs.append((side, []))
         runs[-1][1].append((v, e))
     return [(side, tuple(run)) for side, run in runs]
-
-
-def syllables(x: NormalWord,
-              partition: tuple[frozenset[int], frozenset[int]]
-              ) -> list[tuple[str, NormalWord]]:
-    """Alternating block decomposition of x in the free product W_A * W_B.
-
-    Returns [(side, block), ...] with side in {"A", "B"}; blocks are
-    canonical words over the ambient graph supported in one side.
-    """
-    return [(side, NormalWord(x.graph, run, _canonical_input=True))
-            for side, run in syllable_letters(x, partition)]
 
 
 def random_word(g: LabeledGraph, length: int, seed: int) -> NormalWord:

@@ -11,15 +11,15 @@ from itertools import product
 
 import pytest
 
-from qmgraph.autos import (apply, enum_labelled_graph_autos,
+from qmgraph.autos import (apply_gen, enum_labelled_graph_autos,
                            valid_aut0_gens)
 from qmgraph.cli import corpus_dir, run_examples
 from qmgraph.codes import (code, code_qm, homogenise, is_generic, theta,
                            weighted_z_code)
 from qmgraph.decide import (EXISTS_CONSTRUCTIVE, Verdict, WitnessSpec, decide,
                             witness)
-from qmgraph.evaluators import (Code, SumBothSides, average, build, evaluate,
-                                stabilizer_count)
+from qmgraph.evaluators import (Code, Evaluator, SumBothSides, average, build,
+                                evaluate, stabilizer_count)
 from qmgraph.graphs import expand, parse_graph, tau_classes
 from qmgraph.scl import (HEURISTIC, RIGOROUS, DefectEstimate, estimate_defect,
                          scl_aut_lower_bound)
@@ -152,7 +152,7 @@ def test_criterion_06_aut_invariance():
             gen = rng.choice(gens)
             x = random_word(g, rng.randrange(2, 5), seed=rng.randrange(10**6))
             vx = evaluate(a, x)
-            vy = evaluate(a, apply(gen, x))
+            vy = evaluate(a, apply_gen(gen, x))
             pairs += 1
             if not (vx.exact and vy.exact):
                 skipped += 1
@@ -208,11 +208,11 @@ def test_criterion_08_restriction_scaling():
     ok &= plain.exact and summed.exact
     ok &= summed.value == stabilizer_count(g, cone, p) * plain.value
 
-    # two-hub free-abelian graph: base is free of rank 2, so build unchecked
+    # two-hub free-abelian graph: base is free of rank 2, which build
+    # rejects, so construct the evaluator directly
     g = expand(figure1_raag())
     cone, p = frozenset({0, 4}), (frozenset({0}), frozenset({4}))
-    e = build(g, cone, p, SumBothSides((1, 2, 3)), homog_params=(12, 4),
-              unchecked=True)
+    e = Evaluator(g, cone, p, SumBothSides((1, 2, 3)), homog_params=(12, 4))
     x = parse_word(g, "v0 v4 v0^2 v4 v0^3 v4")
     plain, summed = evaluate(e, x), evaluate(average(e), x)
     j = stabilizer_count(g, cone, p)

@@ -91,7 +91,7 @@ def test_eval_value_line(capsys, z5z3_file):
     code, out, _ = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
                        "--cone", "v0,v1", "--partA", "v0", "--partB", "v1")
     assert code == 0
-    assert out.strip() == "value=1 exact=True err<=0"
+    assert out.strip() == "value=1 exact=True"
 
 
 def test_eval_json_and_avg(capsys, z5z3_file):
@@ -100,50 +100,66 @@ def test_eval_json_and_avg(capsys, z5z3_file):
                        "--avg", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc == {"value": "1", "exact": True, "error_bound": "0"}
+    assert doc == {"value": "1", "exact": True}
+
+
+def test_eval_inexact_prints_no_error_bound(capsys):
+    # this word homogenises inexactly at --max-n 3 --max-period 1, and
+    # exactly to 0 at the defaults
+    ngon5 = os.path.join(corpus_dir(), "ngon_5_z2.graph")
+    flags = ("--word", "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
+             "v3 v0 v3 v0 v3 v0 v2", "--cone", "v0,v2,v3", "--partA", "v0",
+             "--partB", "v2,v3", "--side", "B")
+    shallow = ("--max-n", "3", "--max-period", "1")
+    code, out, _ = run(capsys, "eval", ngon5, *flags, *shallow)
+    assert (code, out) == (0, "value=0 exact=False\n")
+    code, out, _ = run(capsys, "eval", ngon5, *flags, *shallow, "--json")
+    assert code == 0
+    assert json.loads(out) == {"value": "0", "exact": False}
+    code, out, _ = run(capsys, "eval", ngon5, *flags)
+    assert (code, out) == (0, "value=0 exact=True\n")
 
 
 def test_homog_subcommand(capsys, z5z3_file):
-    code, out, _ = run(capsys, "homog", z5z3_file, "--word", WITNESS_WORD,
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1")
-    assert code == 0
-    assert "value=1" in out
+    # homog was eval without --avg; it is gone and eval gives its value
+    flags = ("--word", WITNESS_WORD, "--cone", "v0,v1", "--partA", "v0",
+             "--partB", "v1")
+    code, out, err = run(capsys, "homog", z5z3_file, *flags)
+    assert code == 1 and out == ""
+    assert "invalid choice: 'homog'" in err
+    code, out, _ = run(capsys, "eval", z5z3_file, *flags)
+    assert (code, out) == (0, "value=1 exact=True\n")
 
 
 def test_max_n_env_override(capsys, z5z3_file, monkeypatch):
-    # an invalid value proves the override reaches the limit detector
-    monkeypatch.setenv("QMGRAPH_MAX_N", "1")
-    code, _, err = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1")
+    # --max-n reaches the limit detector; QMGRAPH_MAX_N is not read, so
+    # neither an invalid nor a non-integer value changes anything
+    flags = ("--word", WITNESS_WORD, "--cone", "v0,v1", "--partA", "v0",
+             "--partB", "v1")
+    code, _, err = run(capsys, "eval", z5z3_file, *flags, "--max-n", "1")
     assert code == 3
-    assert "max_n" in err
+    assert err.startswith("error: ") and "max_n >= 2" in err
+    for env in ("1", "abc"):
+        monkeypatch.setenv("QMGRAPH_MAX_N", env)
+        code, out, _ = run(capsys, "eval", z5z3_file, *flags)
+        assert (code, out) == (0, "value=1 exact=True\n")
 
 
 def test_homog_has_no_avg_flag(capsys):
-    # on cube_3_z3 the unaveraged value is 1 and the averaged one is 4
+    # on cube_3_z3 the unaveraged value is 1 and the averaged one is 4;
+    # homog, which never averaged, is no longer a command
     cube = os.path.join(corpus_dir(), "cube_3_z3.graph")
     word = ("v0 v3 v0^2 v3 v0^2 v3 v0 v3 v0 v3 v0 v3 "
             "v0^2 v3 v0^2 v3 v0^2 v3 v0^2 v3")
     flags = ("--word", word, "--cone", "v0,v3", "--partA", "v0",
              "--partB", "v3", "--kind", "sum")
-    code, out, _ = run(capsys, "homog", cube, *flags)
+    code, out, _ = run(capsys, "eval", cube, *flags)
     assert (code, out.split()[0]) == (0, "value=1")
     code, out, _ = run(capsys, "eval", cube, *flags, "--avg")
     assert (code, out.split()[0]) == (0, "value=4")
     code, out, err = run(capsys, "homog", cube, *flags, "--avg")
     assert code == 1 and out == ""
-    assert "unrecognized arguments: --avg" in err
-
-
-def test_bad_max_n_env_is_usage_error(capsys, z5z3_file, monkeypatch):
-    monkeypatch.setenv("QMGRAPH_MAX_N", "abc")
-    # commands without homogenisation never read the variable
-    code, out, _ = run(capsys, "decide", z5z3_file)
-    assert code == 0 and out.startswith("status=")
-    code, _, err = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1")
-    assert code == 1
-    assert err == "error: QMGRAPH_MAX_N must be an integer, not 'abc'\n"
+    assert "invalid choice: 'homog'" in err
 
 
 def test_bad_max_period_is_exit_3(capsys, z5z3_file):
@@ -212,13 +228,17 @@ def test_bad_defect_bound_is_usage_error(capsys, z5z3_file, bound):
                       f"p/q, got '{bound}'"]
 
 
-@pytest.mark.parametrize("bound", ["0", "-1/2"])
-def test_nonpositive_defect_bound_is_exit_3(capsys, z5z3_file, bound):
+@pytest.mark.parametrize("bound,message", [
+    pytest.param("0", "defect bound is zero; no valid denominator", id="0"),
+    pytest.param("-1/2", "user_bound must be nonnegative", id="-1/2"),
+])
+def test_nonpositive_defect_bound_is_exit_3(capsys, z5z3_file, bound,
+                                            message):
     code, out, err = run(capsys, "scl", z5z3_file, "--word", WITNESS_WORD,
                          "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
                          f"--defect-bound={bound}")
     assert code == 3 and out == ""
-    assert err.startswith("error: ")
+    assert err == f"error: {message}\n"
 
 
 def test_scl_heuristic_json(capsys, z5z3_file):
@@ -327,7 +347,7 @@ def test_eval_avg_on_a_large_star_sums_over_the_pair_orbit(
     assert code == 0
     # 7! automorphisms fix l0 and l1; the images (l0, l1) and (l1, l0)
     # each add the unaveraged value 1
-    assert out == "value=10080 exact=True err<=0\n"
+    assert out == "value=10080 exact=True\n"
     assert len(applied) <= 72
 
 

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmgraph.graphs import (GraphError, LabeledGraph, Z, center_support,
-                            connected_components,
-                            direct_factor_decomposition, cyclic, expand,
+                            connected_components, cyclic, expand,
                             is_lower_cone, lower_cone_L, parse_graph,
                             primary, tau_classes, FREE, FREE_ABELIAN,
                             FINITE_ABELIAN)
@@ -129,12 +128,6 @@ def test_connected_components_order():
         "vertex a Z/2\nvertex b Z/2\nvertex c Z/2\nedge b c"))
     comps = connected_components(g, range(3))
     assert comps == [frozenset({0}), frozenset({1, 2})]
-
-
-def test_direct_factor_decomposition_square():
-    g = expand(ngon(4, "Z/2"))
-    factors = sorted(sorted(f) for f in direct_factor_decomposition(g))
-    assert factors == [[0, 2], [1, 3]]
 
 
 def test_tau_requires_expanded():

@@ -40,6 +40,8 @@ def test_defect_estimate_validation():
         DefectEstimate(Fraction(-1), 1, 1, 0)
     with pytest.raises(ValueError):
         DefectEstimate(Fraction(3), 1, 1, 0, user_bound=Fraction(2))
+    with pytest.raises(ValueError, match="user_bound must be nonnegative"):
+        DefectEstimate(Fraction(0), 0, 1, 0, user_bound=Fraction(-1))
 
 
 def test_estimate_defect_vacuous():
@@ -77,8 +79,7 @@ def test_homomorphism_has_zero_defect():
     g = expand(edgeless(["Z", "Z/3"]))
     e = _ExponentSum(g, frozenset({0, 1}),
                      (frozenset({0}), frozenset({1})),
-                     Code("A", (1, 2, 3)), homog_params=(10, 2),
-                     unchecked=True)
+                     Code("A", (1, 2, 3)), homog_params=(10, 2))
     d = estimate_defect(e, samples=30, max_len=8, seed=2)
     assert d.empirical_max == 0 and d.skipped == 0
 
@@ -167,9 +168,10 @@ def test_scl_bound_zero_denominator_rejected():
 def test_scl_bound_requires_trivial_center():
     g = expand(parse_graph(
         "vertex a Z/3\nvertex b Z/5\nvertex c Z/7\nedge c a\nedge c b"))
-    # c is central; a|b is not even a valid partition here, so go unchecked
+    # c is central; a|b is not even a valid partition here, which build
+    # would reject
     e = Evaluator(g, frozenset({0, 1}), (frozenset({0}), frozenset({1})),
-                  Code("A", (1, 2, 3)), unchecked=True)
+                  Code("A", (1, 2, 3)))
     d = DefectEstimate(Fraction(0), 0, 0, 0, user_bound=Fraction(1))
     with pytest.raises(GraphError, match="center"):
         scl_aut_lower_bound(e, NormalWord.identity(g), d)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmgraph.graphs import parse_graph, expand
 from qmgraph.words import (NormalWord, WordError, parse_word, random_word,
-                           retraction, syllables)
+                           retraction, syllable_letters)
 
 from conftest import edgeless, ngon
 from words_reference import reference_normal_form
@@ -100,22 +100,24 @@ def test_syllables_alternate_and_multiply_back():
     g = z5z3()
     A, B = frozenset({0}), frozenset({1})
     x = parse_word(g, "v0^4 v1 v0^2 v1^2 v0")
-    blocks = syllables(x, (A, B))
+    blocks = syllable_letters(x, (A, B))
     sides = [s for s, _ in blocks]
     assert sides == ["A", "B", "A", "B", "A"]
     prod = NormalWord.identity(g)
-    for _, blk in blocks:
-        assert NormalWord(g, blk.letters) == blk  # blocks are canonical
+    for _, run in blocks:
+        blk = NormalWord(g, run)
+        assert blk.letters == run  # blocks are canonical
         prod = prod * blk
     assert prod == x
     with pytest.raises(WordError):
-        syllables(x, (A, frozenset()))  # support escapes the partition
+        syllable_letters(x, (A, frozenset()))  # support escapes the partition
 
 
 def test_syllables_reject_partition_with_edges():
     g = expand(ngon(4, "Z/2"))
     with pytest.raises(WordError):
-        syllables(NormalWord.identity(g), (frozenset({0}), frozenset({1})))
+        syllable_letters(NormalWord.identity(g),
+                         (frozenset({0}), frozenset({1})))
 
 
 def test_random_word_deterministic():
