@@ -138,8 +138,8 @@ def homogenise(f: Callable[[NormalWord], int], x: NormalWord,
 
     Scans s_n = f(x^n) for n = 1..max_n.  If for some period p <= max_period
     the differences s_{n+p} - s_n are constant c from some offset n0 <=
-    max_n/2 onward, the limit is exactly c/p.  Otherwise returns the
-    approximation s_max/max_n, flagged inexact.
+    max_n/2 onward, over at least two differences, the limit is exactly
+    c/p.  Otherwise returns the approximation s_max/max_n, flagged inexact.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
@@ -155,8 +155,10 @@ def homogenise(f: Callable[[NormalWord], int], x: NormalWord,
             n0 = len(diffs)
             while n0 > 0 and diffs[n0 - 1] == c:
                 n0 -= 1
-            # diffs[n0:] constant; corresponds to offset n0 + 1 in s
-            if n0 + 1 <= n / 2:
+            # diffs[n0:] constant; corresponds to offset n0 + 1 in s.  A
+            # single difference is constant by itself and shows nothing;
+            # once max_n >= 2 * (max_period + 1) the run always has two
+            if n0 + 1 <= n / 2 and len(diffs) - n0 >= 2:
                 return HomogValue(Fraction(c, p), True)
         return None
 

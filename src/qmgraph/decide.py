@@ -9,14 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from . import evaluators as ev
 from .autos import labelled_aut_group
 from .evaluators import _single_z, _single_z2
 from .graphs import (GraphError, LabeledGraph, TauClassification,
-                     connected_components, expand, is_lower_cone,
-                     lower_cone_L, FREE)
+                     component_masks, connected_components, expand,
+                     is_lower_cone, lower_cone_L, lower_cone_mask,
+                     mask_vertices, vertex_mask, FREE)
 from .words import NormalWord, parse_word
 
 FINITE = "Finite"
@@ -138,9 +140,11 @@ def _claim_pairs(g: LabeledGraph, factors) -> Iterator[tuple]:
 
 
 def _cone_pairs(cones) -> Iterator[tuple]:
-    """The factor pairs of each invariant cone, cone by cone."""
+    """The factor pairs of each (cone, component masks) pair, cone by
+    cone, as vertex sets."""
     for _, comps in cones:
-        yield from combinations(_sorted_sets(comps), 2)
+        for A, B in combinations(comps, 2):
+            yield mask_vertices(A), mask_vertices(B)
 
 
 _CONE_PAIR = "invariant cone pair" + _SPLIT
@@ -247,7 +251,7 @@ def _decide_raag(g: LabeledGraph, trace: list[str]) -> Verdict:
         if verdict is not None:
             return verdict
     else:
-        cones = find_invariant_cones(g)
+        cones = _cone_masks(g)
         spec = _first_spec(g, _cone_pairs(cones), trace, _CONE_PAIR)
         if spec is not None:
             return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
@@ -303,8 +307,63 @@ def _raag_abelian_classes(g: LabeledGraph,
 
 # -- invariant lower cones (sufficient condition) ----------------------------
 
-# the cone search filters all 2^m subsets of the m ~_tau classes
+# The cone search tests all 2^m subsets of the m ~_tau classes, each as a
+# few operations on vertex bitmasks; only the pairs decide tries become
+# vertex sets.  Enumerating just the orbit-closed down-sets would drop
+# the 2^m factor, and one work budget would replace this cap.
 CLASS_CAP = 20
+
+
+def _cone_masks(g: LabeledGraph) -> list[tuple[int, list[int]]]:
+    """find_invariant_cones on bitmasks: (cone, component masks) pairs."""
+    if not g.is_expanded():
+        raise GraphError("find_invariant_cones requires an expanded graph")
+    tc = g.tau_classification
+    m = len(tc.classes)
+    if m > CLASS_CAP:
+        raise GraphError("too many ~_tau classes to enumerate cones")
+    n = g.n
+    below = tc.below
+    class_mask = [vertex_mask(g, c) for c in tc.classes]
+    # the mirror image puts vertex v at bit n-1-v: among cones of one
+    # size, the one with the lesser sorted vertex list has the greater
+    # mirror image (the least vertex where two cones differ is in it)
+    class_mirror = [sum(1 << n - 1 - v for v in c) for c in tc.classes]
+    zmask = vertex_mask(g, (v for v in range(n) if g.labels[v].is_infinite))
+    z2mask = vertex_mask(g, (v for v in range(n) if g.labels[v].order == 2))
+    orbits = None
+    out = []
+    for bits in range(1, 1 << m):
+        cone = mirror = 0
+        rest = bits
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            if below[i] & ~bits:
+                break
+            rest ^= low
+            cone |= class_mask[i]
+            mirror |= class_mirror[i]
+        if rest or not lower_cone_mask(g, cone):
+            continue
+        comps = component_masks(g, cone)
+        if len(comps) < 2:
+            continue
+        single = [c for c in comps if c & (c - 1) == 0]
+        if sum(1 for c in single if c & zmask) > 2:
+            continue
+        if len(single) == len(comps) and all(c & z2mask for c in single):
+            continue
+        if orbits is None:
+            orbits = [vertex_mask(g, orbit) for orbit
+                      in labelled_aut_group(g).vertex_orbits()
+                      if len(orbit) > 1]
+        # invariant exactly when a union of vertex orbits
+        if any(orbit & cone and orbit & ~cone for orbit in orbits):
+            continue
+        out.append(((cone.bit_count(), -mirror), cone, comps))
+    out.sort(key=itemgetter(0))
+    return [(cone, comps) for _, cone, comps in out]
 
 
 def find_invariant_cones(g: LabeledGraph):
@@ -312,39 +371,10 @@ def find_invariant_cones(g: LabeledGraph):
     induced graph splits as a free product meeting the existence
     hypotheses (>= 2 factors, at most two infinite cyclic, not all Z/2).
 
-    Returns (cone, components) pairs ordered by cone size."""
-    if not g.is_expanded():
-        raise GraphError("find_invariant_cones requires an expanded graph")
-    tc = g.tau_classification
-    m = len(tc.classes)
-    if m > CLASS_CAP:
-        raise GraphError("too many ~_tau classes to enumerate cones")
-    orbit_of = None
-    out = []
-    for bits in range(1, 1 << m):
-        chosen = [i for i in range(m) if bits >> i & 1]
-        if any(tc.below[i] & ~bits for i in chosen):
-            continue
-        cone = frozenset(v for i in chosen for v in tc.classes[i])
-        if not is_lower_cone(g, cone):
-            continue
-        comps = connected_components(g, cone)
-        if len(comps) < 2:
-            continue
-        if sum(1 for c in comps if _single_z(g, c)) > 2:
-            continue
-        if all(_single_z2(g, c) for c in comps):
-            continue
-        if orbit_of is None:
-            orbit_of = {v: orbit for orbit
-                        in labelled_aut_group(g).vertex_orbits()
-                        for v in orbit}
-        # invariant exactly when a union of vertex orbits
-        if any(not orbit_of[v] <= cone for v in cone):
-            continue
-        out.append((cone, comps))
-    out.sort(key=lambda p: (len(p[0]), sorted(p[0])))
-    return out
+    Returns (cone, components) pairs ordered by cone size, then by sorted
+    vertex list; the components are ordered by least vertex."""
+    return [(mask_vertices(cone), [mask_vertices(c) for c in comps])
+            for cone, comps in _cone_masks(g)]
 
 
 # -- top-level dispatch ------------------------------------------------------
@@ -370,7 +400,7 @@ def decide(graph: LabeledGraph) -> Verdict:
         trace.append("connected graph of finite (primary) groups")
         return _decide_finite_connected(g, trace)
     trace.append("connected graph with mixed labels: invariant-cone search")
-    cones = find_invariant_cones(g)
+    cones = _cone_masks(g)
     spec = _first_spec(g, _cone_pairs(cones), trace, _CONE_PAIR)
     if spec is not None:
         return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)

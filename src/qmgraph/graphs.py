@@ -9,6 +9,7 @@ used by the decision procedures.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,21 +23,85 @@ class GraphError(ValueError):
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+# Miller-Rabin to the first 13 prime bases is exact below _MR_EXACT
+# (Sorenson & Webster, Strong pseudoprimes to twelve prime bases, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
+_TRIAL = 1 << 10  # trial division below this bound
+RHO_STEPS = 1 << 18  # Pollard rho steps per order before giving up
+
+
+def _is_prime(n: int, order: int) -> bool:
+    """Miller-Rabin on n > _TRIAL, which has no prime factor below
+    _TRIAL; a probable prime past _MR_EXACT is a GraphError."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT:
+        raise GraphError(f"cannot factor Z/{order}: primality is certified "
+                         f"only below {_MR_EXACT}")
+    return True
+
+
+def _rho_divisor(n: int, order: int, steps: list[int]) -> int:
+    """A proper divisor of the composite n by Pollard's rho, charging
+    each step to steps[0]."""
+    c = 0
+    while True:
+        c += 1
+        x = y = 2
+        d = 1
+        while d == 1:
+            steps[0] -= 1
+            if steps[0] < 0:
+                raise GraphError(f"cannot factor Z/{order} within "
+                                 f"{RHO_STEPS} Pollard rho steps")
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
+
+
 def _prime_factors(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, as (p, k) pairs."""
-    out = []
+    """Prime factorization as (p, k) pairs in increasing p.
+
+    Trial division takes the primes below _TRIAL; Pollard's rho splits
+    what is left and Miller-Rabin certifies its primes.  An order that
+    needs more than RHO_STEPS rho steps, or has a prime factor past
+    _MR_EXACT, is a GraphError (exit 3) instead of a long wait.
+    """
+    order = n
+    counts: dict[int, int] = {}
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
+    while p < _TRIAL and p * p <= n:
+        while n % p == 0:
+            n //= p
+            counts[p] = counts.get(p, 0) + 1
         p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+    steps = [RHO_STEPS]
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        # no factor below _TRIAL: m is prime if m < _TRIAL^2
+        if m < _TRIAL * _TRIAL or _is_prime(m, order):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m, order, steps)
+            rest += [d, m // d]
+    return sorted(counts.items())
 
 
 @dataclass(frozen=True)
@@ -374,24 +439,46 @@ def tau_classes(g: LabeledGraph) -> TauClassification:
     return TauClassification(tuple(classes), tuple(below), tuple(types))
 
 
-def is_lower_cone(g: LabeledGraph, X: frozenset[int]) -> bool:
-    """True iff X is downward closed under <=_tau."""
+def vertex_mask(g: LabeledGraph, X: Iterable[int]) -> int:
+    """The bitmask of the vertex set X, which must lie in V."""
     mask = 0
     for v in X:
         if not 0 <= v < g.n:
             raise GraphError("vertex set not contained in V")
         mask |= 1 << v
+    return mask
+
+
+def mask_vertices(mask: int) -> frozenset[int]:
+    """The vertex set of a bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def lower_cone_mask(g: LabeledGraph, mask: int) -> bool:
+    """True iff the vertex bitmask is downward closed under <=_tau."""
     down = g.tau_down
-    return all(down[t] & ~mask == 0 for t in X)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if down[low.bit_length() - 1] & ~mask:
+            return False
+    return True
+
+
+def is_lower_cone(g: LabeledGraph, X: frozenset[int]) -> bool:
+    """True iff X is downward closed under <=_tau."""
+    return lower_cone_mask(g, vertex_mask(g, X))
 
 
 def lower_cone_L(g: LabeledGraph, M: frozenset[int]) -> frozenset[int]:
     """L_M: vertices whose star avoids M entirely."""
-    mmask = 0
-    for v in M:
-        if not 0 <= v < g.n:
-            raise GraphError("vertex set not contained in V")
-        mmask |= 1 << v
+    mmask = vertex_mask(g, M)
     return frozenset(v for v in range(g.n)
                      if (g.adj[v] | 1 << v) & mmask == 0)
 
@@ -402,23 +489,24 @@ def center_support(g: LabeledGraph) -> frozenset[int]:
                      if g.adj[v] | 1 << v == g.full_mask)
 
 
-def connected_components(g: LabeledGraph, X: Iterable[int]) -> list[frozenset[int]]:
-    """Components of the induced subgraph on X, ordered by least vertex."""
-    remaining = 0
-    for v in X:
-        remaining |= 1 << v
+def component_masks(g: LabeledGraph, mask: int) -> list[int]:
+    """Components of the subgraph induced on a vertex bitmask, as
+    bitmasks ordered by least vertex."""
+    adj = g.adj
     comps = []
-    while remaining:
-        comp = frontier = remaining & -remaining  # the least vertex left
-        members = []
+    while mask:
+        comp = frontier = mask & -mask  # the least vertex left
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            v = low.bit_length() - 1
-            members.append(v)
-            new = g.adj[v] & remaining & ~comp
+            new = adj[low.bit_length() - 1] & mask & ~comp
             comp |= new
             frontier |= new
-        remaining &= ~comp
-        comps.append(frozenset(members))
+        mask ^= comp
+        comps.append(comp)
     return comps
+
+
+def connected_components(g: LabeledGraph, X: Iterable[int]) -> list[frozenset[int]]:
+    """Components of the induced subgraph on X, ordered by least vertex."""
+    return [mask_vertices(c) for c in component_masks(g, vertex_mask(g, X))]

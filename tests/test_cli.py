@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from qmgraph import autos, cli, decide, evaluators
+from qmgraph import autos, cli, decide, evaluators, graphs
 from qmgraph.cli import corpus_dir, main, run_examples
 
 Z5Z3 = "vertex v0 Z/5\nvertex v1 Z/3\n"
@@ -50,6 +50,27 @@ def test_cones(capsys, z5z3_file):
     code, out, _ = run(capsys, "cones", z5z3_file)
     assert code == 0
     assert "{v0,v1} = {v0} * {v1}" in out
+
+
+def test_cones_full_output(capsys, tmp_path):
+    # Z at even positions, Z/3, Z/4, Z/5, Z/9 between: 130 cones, in
+    # (size, sorted vertices) order, components by least vertex
+    labels = ["Z", "Z/3", "Z", "Z/4", "Z", "Z/5", "Z", "Z/9"]
+    path8 = _write(tmp_path, "path8.graph",
+                   [f"vertex v{i} {lab}" for i, lab in enumerate(labels)]
+                   + [f"edge v{i} v{i + 1}" for i in range(7)])
+    code, out, _ = run(capsys, "cones", path8)
+    assert code == 0
+    pinned = os.path.join(os.path.dirname(__file__), "data",
+                          "cones_mixed_path8.txt")
+    with open(pinned) as fh:
+        assert out == fh.read()
+    # figure 1: v0 and v4 joined through v1, v2, v3, all Z
+    figure1 = _write(tmp_path, "figure1.graph",
+                     [f"vertex v{i} Z" for i in range(5)]
+                     + [f"edge v{a} v{m}" for a in (0, 4) for m in (1, 2, 3)])
+    code, out, _ = run(capsys, "cones", figure1)
+    assert (code, out) == (0, "{v0,v4} = {v0} * {v4}\n")
 
 
 def test_decide_plain_and_trace(capsys, z5z3_file):
@@ -117,6 +138,22 @@ def test_eval_inexact_prints_no_error_bound(capsys):
     assert code == 0
     assert json.loads(out) == {"value": "0", "exact": False}
     code, out, _ = run(capsys, "eval", ngon5, *flags)
+    assert (code, out) == (0, "value=0 exact=True\n")
+
+
+def test_eval_single_increment_is_not_exact(capsys):
+    # f(x^n) = 1, 0, 0, ... on this word: at --max-n 2 the scan sees one
+    # increment, -1, which is no evidence of a period; the limit is 0
+    ngon5 = os.path.join(corpus_dir(), "ngon_5_z2.graph")
+    flags = ("--word", "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
+             "v3 v0 v3 v0 v3 v0 v2", "--cone", "v0,v2,v3", "--partA", "v0",
+             "--partB", "v2,v3", "--side", "B")
+    for period in ("1", "2"):
+        code, out, _ = run(capsys, "eval", ngon5, *flags, "--max-n", "2",
+                           "--max-period", period)
+        assert (code, out) == (0, "value=0 exact=False\n"), period
+    code, out, _ = run(capsys, "eval", ngon5, *flags, "--max-n", "4",
+                       "--max-period", "1")
     assert (code, out) == (0, "value=0 exact=True\n")
 
 
@@ -316,6 +353,33 @@ def test_size_caps_are_exit_3(capsys, tmp_path):
                        "--cone", "a,b", "--partA", "a", "--partB", "b")
     assert code == 3
     assert err == "error: vertex bound exceeded (17 > 16)\n"
+
+
+def test_huge_orders_factor_or_fail_fast(capsys, tmp_path, monkeypatch):
+    # (10^9 + 7)(10^9 + 9) took minutes of trial division
+    semiprime = _write(tmp_path, "semi.graph",
+                       ["vertex a Z/1000000016000000063", "vertex b Z"])
+    code, out, _ = run(capsys, "expand", semiprime)
+    assert code == 0
+    assert "vertex a_p1000000007k1 Z/1000000007" in out
+    assert "vertex a_p1000000009k1 Z/1000000009" in out
+    prime = _write(tmp_path, "prime.graph", ["vertex a Z/1000000000039"])
+    code, out, _ = run(capsys, "decide", prime)
+    assert (code, out) == (0, "status=Finite\n")
+    # a prime past the bound of exact Miller-Rabin is refused at once
+    mersenne89 = _write(tmp_path, "m89.graph", [f"vertex a Z/{2 ** 89 - 1}"])
+    code, _, err = run(capsys, "decide", mersenne89)
+    assert code == 3
+    assert err == (f"error: cannot factor Z/{2 ** 89 - 1}: primality is "
+                   "certified only below 3317044064679887385961981\n")
+    # a semiprime beyond the rho budget exits 3 when the budget runs out
+    monkeypatch.setattr(graphs, "RHO_STEPS", 1 << 12)
+    semi = (10 ** 12 + 39) * (10 ** 12 + 61)
+    hard = _write(tmp_path, "hard.graph", [f"vertex a Z/{semi}"])
+    code, _, err = run(capsys, "decide", hard)
+    assert code == 3
+    assert err == (f"error: cannot factor Z/{semi} within 4096 Pollard "
+                   "rho steps\n")
 
 
 def test_eval_avg_on_a_large_star_sums_over_the_pair_orbit(

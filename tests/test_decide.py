@@ -1,8 +1,10 @@
 """Decision procedure: verdict table, witnesses, and invariant cones."""
 
+import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmgraph.decide import (ABELIAN, EXISTS_CONSTRUCTIVE,
                             EXISTS_NONCONSTRUCTIVE, FINITE, PROVABLY_NONE,
@@ -14,6 +16,7 @@ from qmgraph.words import NormalWord
 
 from conftest import (b_graph, cube, edgeless, figure1_raag, lambda_raag,
                       ngon, octahedron, path_graph)
+import decide_reference
 
 
 def corpus_cases():
@@ -157,6 +160,87 @@ def test_find_invariant_cones_complete_graph_empty():
 def test_find_invariant_cones_requires_expanded():
     with pytest.raises(GraphError):
         find_invariant_cones(parse_graph("vertex a Z/6\nvertex b Z/5"))
+
+
+# -- the bitmask cone search against the frozenset one -----------------------
+
+PRIME_POWERS = ("Z/2", "Z/3", "Z/4", "Z/5", "Z/7", "Z/8", "Z/9")
+
+
+def _graph(labels, edges, order=None):
+    """Graph text on v0..v{n-1}, vertices listed in `order` if given."""
+    order = range(len(labels)) if order is None else order
+    text = "".join(f"vertex v{i} {labels[i]}\n" for i in order)
+    text += "".join(f"edge v{a} v{b}\n" for a, b in edges)
+    return parse_graph(text)
+
+
+def _seeded_families(rng, n):
+    """Mixed path, mixed tree, star, finite cycle, RAAG path and RAAG
+    cycle on n vertices (the star has n - 1 leaves)."""
+    path = [(i, i + 1) for i in range(n - 1)]
+    cycle = path + [(n - 1, 0)]
+    yield _graph(["Z" if i % 2 == 0 else rng.choice(PRIME_POWERS)
+                  for i in range(n)], path)
+    parent = [rng.randrange(i) for i in range(1, n)]
+    depth = [0]
+    for p in parent:
+        depth.append(depth[p] + 1)
+    yield _graph(["Z" if d % 2 == 0 else rng.choice(PRIME_POWERS)
+                  for d in depth], [(p, i + 1) for i, p in enumerate(parent)])
+    yield _graph(["Z"] + [rng.choice(("Z/2", "Z/3"))] * (n - 1),
+                 [(0, i) for i in range(1, n)])
+    finite = [rng.choice(PRIME_POWERS) for _ in range(n)]
+    finite[rng.randrange(n)] = rng.choice(("Z/6", "Z/10"))
+    yield _graph(finite, cycle)
+    for edges in (path, cycle):
+        yield _graph(["Z"] * n, edges, rng.sample(range(n), n))
+
+
+def _cones_or_error(find, g):
+    try:
+        return find(g)
+    except GraphError as exc:
+        return "GraphError", str(exc)
+
+
+def _assert_same_cones(g):
+    assert (_cones_or_error(find_invariant_cones, g)
+            == _cones_or_error(decide_reference.find_invariant_cones, g))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cone_search_matches_frozenset_version_on_families(seed):
+    rng = random.Random(seed)
+    for n in range(3, 11):
+        for graph in _seeded_families(rng, n):
+            _assert_same_cones(expand(graph))
+
+
+def test_cone_search_errors_match_frozenset_version():
+    path17 = path_graph(["Z/2"] * 17)
+    mixed21 = path_graph(["Z" if i % 2 == 0 else "Z/2" for i in range(21)])
+    for g in (parse_graph("vertex a Z/6\nvertex b Z/5"), expand(path17),
+              expand(mixed21)):
+        got = _cones_or_error(find_invariant_cones, g)
+        assert got[0] == "GraphError"
+        _assert_same_cones(g)
+
+
+@st.composite
+def mixed_graphs(draw):
+    labels = draw(st.lists(st.sampled_from(("Z",) + PRIME_POWERS + ("Z/6",)),
+                           min_size=1, max_size=9))
+    n = len(labels)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if draw(st.booleans())]
+    return expand(_graph(labels, edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_graphs())
+def test_cone_search_matches_frozenset_version(g):
+    _assert_same_cones(g)
 
 
 def test_witness_requires_constructive_verdict():

@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmgraph.graphs import (GraphError, LabeledGraph, Z, center_support,
+from qmgraph.graphs import (GraphError, LabeledGraph, Z, _prime_factors,
+                            center_support,
                             connected_components, cyclic, expand,
                             is_lower_cone, lower_cone_L, parse_graph,
                             primary, tau_classes, FREE, FREE_ABELIAN,
@@ -18,6 +19,32 @@ def test_parse_basic():
     assert g.labels[0].is_infinite
     assert g.labels[1].order == 6
     assert g.adjacent(0, 1)
+
+
+def _trial_division(n):
+    out, p = [], 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    return out + [(n, 1)] if n > 1 else out
+
+
+def test_prime_factors_match_trial_division():
+    big = (1_000_003 * 1_000_033, 1021 ** 3 * 1031, 2 ** 61 - 1,
+           (2 ** 31 - 1) ** 2, 1009 * 1013 * 1019, 3 ** 7 * 1_000_000_007)
+    for n in list(range(2, 3000)) + [n * 7 for n in big[:2]]:
+        assert _prime_factors(n) == _trial_division(n), n
+    assert _prime_factors(2 ** 61 - 1) == [(2 ** 61 - 1, 1)]
+    assert _prime_factors((2 ** 31 - 1) ** 2) == [(2 ** 31 - 1, 2)]
+    assert _prime_factors(3 ** 7 * 1_000_000_007) == [(3, 7),
+                                                      (1_000_000_007, 1)]
+    assert _prime_factors(2 ** 100 * (2 ** 61 - 1)) == [(2, 100),
+                                                         (2 ** 61 - 1, 1)]
 
 
 def test_parse_errors():
