@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .graphs import GraphError, LabeledGraph, connected_components
 from .words import Letter, NormalWord
@@ -312,31 +314,62 @@ def labelled_aut_group(g: LabeledGraph) -> AutGroup:
     return AutGroup(g.n, order, tuple(gens))
 
 
+class _Aut0Pool(Sequence):
+    """The type 2-4 generators in the order of valid_aut0_gens, with the
+    factor automorphisms kept implicit.
+
+    On a Z/p^k vertex the units m in [2, p^k) are the integers prime to
+    p, and the i-th unit (i = 1, 2, ...) is i + i // (p - 1) + 1, since
+    every run of p - 1 of them is followed by one multiple of p.  So the
+    pool costs O(n) for the factor automorphisms, whatever the orders.
+    """
+
+    def __init__(self, g: LabeledGraph):
+        down = g.tau_down
+        self._tail: list[AutGen] = [
+            Transvection(v, w) for v in range(g.n) for w in range(g.n)
+            if v != w and down[w] >> v & 1]
+        for v in range(g.n):
+            rest = set(range(g.n)) - g.star(v)
+            self._tail.extend(PartialConj(v, K)
+                              for K in connected_components(g, rest))
+        self._starts: list[int] = []  # first pool index of each vertex
+        self._primes: list[Optional[int]] = []
+        size = 0
+        for v in range(g.n):
+            spec = g.labels[v]
+            self._starts.append(size)
+            self._primes.append(spec.prime)
+            if spec.is_infinite:
+                size += 1
+            else:
+                size += spec.order // spec.prime * (spec.prime - 1) - 1
+        self._factor_count = size
+
+    def __len__(self) -> int:
+        return self._factor_count + len(self._tail)
+
+    def __getitem__(self, i: int) -> AutGen:
+        if not 0 <= i < len(self):
+            raise IndexError("aut0 pool index out of range")
+        if i >= self._factor_count:
+            return self._tail[i - self._factor_count]
+        v = bisect_right(self._starts, i) - 1
+        p = self._primes[v]
+        if p is None:
+            return FactorAut(v, -1)
+        j = i - self._starts[v] + 1
+        return FactorAut(v, j + j // (p - 1) + 1)
+
+
 def valid_aut0_gens(g: LabeledGraph) -> list[AutGen]:
     """The enumerable parameter space of type 2-4 generators."""
-    gens: list[AutGen] = []
-    for v in range(g.n):
-        order = g.labels[v].order
-        if order is None:
-            gens.append(FactorAut(v, -1))
-        else:
-            gens.extend(FactorAut(v, m) for m in range(2, order)
-                        if math.gcd(m, order) == 1)
-    down = g.tau_down
-    for v in range(g.n):
-        for w in range(g.n):
-            if v != w and down[w] >> v & 1:
-                gens.append(Transvection(v, w))
-    for v in range(g.n):
-        rest = set(range(g.n)) - g.star(v)
-        for K in connected_components(g, rest):
-            gens.append(PartialConj(v, K))
-    return gens
+    return list(_Aut0Pool(g))
 
 
 def random_aut0(g: LabeledGraph, length: int, seed: int) -> AutWord:
     """Seeded composition of `length` valid type 2-4 generators."""
-    pool = valid_aut0_gens(g)
+    pool = _Aut0Pool(g)
     if not pool:
         return AutWord()
     rng = random.Random(seed)

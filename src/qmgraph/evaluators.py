@@ -19,12 +19,27 @@ are the same homogenised values, so the value and exactness equal
 those of the full sum.  The cost is O(|orbit|) terms plus
 the stabiliser-chain search of autos.labelled_aut_group, against |Aut|
 terms for the full sum (5040 against 42 on K_{1,7}).
+
+A retracted word w with at most two syllables in W_A * W_B homogenises
+to 0 without the power scan.  Such a w is e, lies in W_A or W_B, or is
+ab with a in W_A and b in W_B (or ba).  So every power w^n is e, lies
+in one side, or is (ab)^n, and each side code of w^n, and the weighted
+Z-code, is empty or a single run.  Such a code holds no pattern z of
+length 2 or more, and a z of length 1 equals its reverse, so the two
+counts of f_z cancel and f_z(w^n) = 0 for every n (Calegari, *scl*,
+§2.3).  The value is then what the scan returns on the all-zero
+sequence, which at max_n = 2 is 0 flagged inexact.  base(w) still runs
+once, as the scan's n = 1 step, so its errors are raised as before.  An
+evaluator that overrides base keeps the scan, because its counting
+function need not vanish on such words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 from typing import Optional, Union
 
 from . import codes
@@ -62,6 +77,11 @@ def labeled_isomorphic(g: LabeledGraph, X: frozenset[int],
                        Y: frozenset[int]) -> bool:
     """Label-preserving isomorphism of the induced subgraphs on X and Y."""
     return next(labelled_isomorphisms(g, X, Y), None) is not None
+
+
+def _syllable_count(w: NormalWord, A: frozenset[int]) -> int:
+    """Number of syllables of w in W_A * W_(the rest)."""
+    return sum(1 for _ in groupby(w.letters, lambda letter: letter[0] in A))
 
 
 def _single_z(g: LabeledGraph, S: frozenset[int]) -> bool:
@@ -102,12 +122,24 @@ class Evaluator:
                     + codes.code_qm(w, self.partition, "B", k.z))
         raise BuildError(f"unknown kind {k!r}")
 
+    @cached_property
+    def _zero(self) -> HomogValue:
+        """What the power scan returns when every f(w^n) is 0."""
+        return homogenise(lambda _: 0, NormalWord.identity(self.graph),
+                          *self.homog_params)
+
     def _homog(self, w: NormalWord) -> HomogValue:
         key = w.letters
         got = self._homog_cache.get(key)
         if got is None:
-            max_n, max_period = self.homog_params
-            got = homogenise(self.base, w, max_n, max_period)
+            if (type(self).base is Evaluator.base
+                    and _syllable_count(w, self.partition[0]) <= 2):
+                # f(w^n) = 0 for all n (module docstring); the scan's
+                # parameter checks, then its n = 1 step for base's checks
+                got = self._zero
+                self.base(w)
+            else:
+                got = homogenise(self.base, w, *self.homog_params)
             self._homog_cache[key] = got
         return got
 

@@ -1,13 +1,20 @@
-"""The letterwise `apply_gen` that `qmgraph.autos` used before it
-normalised each image once.
+"""Earlier forms of `qmgraph.autos` routines, kept as the oracles of the
+differential tests in test_autos.py.
 
-Kept as the oracle of the differential test in test_autos.py: every
-letter's image is built as a normal word and the images are multiplied
-one by one.
+- The letterwise `apply_gen`, used before each image was normalised
+  once: every letter's image is built as a normal word and the images
+  are multiplied one by one.
+- The list `valid_aut0_gens` and the `random_aut0` that drew from it,
+  used before the factor automorphisms were kept implicit: one
+  FactorAut per unit of each cyclic order, found by gcd.
 """
 
-from qmgraph.autos import (AutError, FactorAut, LabelledGraphAut,
+import math
+import random
+
+from qmgraph.autos import (AutError, AutWord, FactorAut, LabelledGraphAut,
                            PartialConj, Transvection, validate_gen)
+from qmgraph.graphs import connected_components
 from qmgraph.words import NormalWord
 
 
@@ -45,3 +52,32 @@ def apply_gen(gen, x):
     for v, e in x.letters:
         out = out * _letter_image(g, gen, v, e)
     return out
+
+
+def valid_aut0_gens(g):
+    gens = []
+    for v in range(g.n):
+        order = g.labels[v].order
+        if order is None:
+            gens.append(FactorAut(v, -1))
+        else:
+            gens.extend(FactorAut(v, m) for m in range(2, order)
+                        if math.gcd(m, order) == 1)
+    down = g.tau_down
+    for v in range(g.n):
+        for w in range(g.n):
+            if v != w and down[w] >> v & 1:
+                gens.append(Transvection(v, w))
+    for v in range(g.n):
+        rest = set(range(g.n)) - g.star(v)
+        for K in connected_components(g, rest):
+            gens.append(PartialConj(v, K))
+    return gens
+
+
+def random_aut0(g, length, seed):
+    pool = valid_aut0_gens(g)
+    if not pool:
+        return AutWord()
+    rng = random.Random(seed)
+    return AutWord(tuple(rng.choice(pool) for _ in range(length)))

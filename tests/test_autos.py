@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -240,3 +241,28 @@ def test_apply_gen_matches_letterwise_definition(graph):
     for gen in gens:
         for x in words:
             assert apply_gen(gen, x) == letterwise.apply_gen(gen, x)
+
+
+def _aut0_graphs():
+    yield from _small_graphs()
+    # higher prime powers, and composite orders split by expand
+    yield edgeless(["Z/8", "Z/9", "Z/25", "Z/49", "Z/360", "Z"])
+    yield path_graph(["Z/27", "Z/16", "Z/27"])
+
+
+@pytest.mark.parametrize("graph", list(_aut0_graphs()))
+def test_aut0_pool_matches_list_version(graph):
+    g = expand(graph)
+    assert valid_aut0_gens(g) == letterwise.valid_aut0_gens(g)
+    for seed in range(200):
+        assert random_aut0(g, 3, seed) == letterwise.random_aut0(g, 3, seed)
+
+
+def test_random_aut0_on_huge_cyclic_order_is_fast():
+    g = expand(edgeless([f"Z/{10**9 + 7}", "Z/3"]))
+    start = time.perf_counter()
+    phi = random_aut0(g, 4, seed=0)
+    assert time.perf_counter() - start < 0.5
+    assert all(validate_gen(g, gen)[0] for gen in phi.gens)
+    assert any(isinstance(gen, FactorAut) and gen.vertex == 0
+               for gen in phi.gens)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmgraph.autos import apply_gen, enum_labelled_graph_autos
-from qmgraph.codes import HomogValue
+from qmgraph.codes import HomogValue, homogenise
 from qmgraph.evaluators import (BuildError, Code, Evaluator, SumBothSides,
                                 WeightedZ, average, build, evaluate,
                                 labeled_isomorphic, stabilizer_count)
@@ -170,6 +170,98 @@ def test_evaluate_unaveraged_worked_value():
     got = evaluate(e, x)
     assert got.exact and got.value == 1
     assert evaluate(e, parse_word(g, "v0")).value == 0
+
+
+def _side_word(g, side, rng):
+    """A nontrivial normal word of 1 to 4 letters over the vertices of side."""
+    while True:
+        letters = []
+        for _ in range(rng.randint(1, 4)):
+            v = rng.choice(sorted(side))
+            order = g.labels[v].order
+            letters.append((v, rng.choice([-3, -2, -1, 1, 2, 3])
+                            if order is None else rng.randrange(1, order)))
+        w = NormalWord(g, letters)
+        if w.letters:
+            return w
+
+
+def _short_word_evaluators():
+    """(evaluator constructor, graph) for each kind, with a side of two
+    vertices for Code and a pattern of length 1 on a direct Evaluator."""
+    g_code = expand(parse_graph(
+        "vertex a1 Z/2\nvertex a2 Z/3\nvertex b Z/5\nedge a1 a2"))
+    g_wz = expand(edgeless(["Z", "Z/3"]))
+    g_sum = expand(edgeless(["Z/3", "Z/3"]))
+    g_one = z5z3()
+    all3 = frozenset({0, 1, 2})
+    return [
+        (lambda h: build(g_code, all3, part({0, 1}, {2}),
+                         Code("A", Z123), h), g_code),
+        (lambda h: build(g_code, all3, part({0, 1}, {2}),
+                         Code("B", (2, 1, 3)), h), g_code),
+        (lambda h: build(g_wz, frozenset({0, 1}), part({0}, {1}),
+                         WeightedZ(Z123), h), g_wz),
+        (lambda h: build(g_sum, frozenset({0, 1}), part({0}, {1}),
+                         SumBothSides(Z123), h), g_sum),
+        (lambda h: Evaluator(g_one, frozenset({0, 1}), part({0}, {1}),
+                             Code("A", (2,)), h), g_one),
+    ]
+
+
+@pytest.mark.parametrize("params", [(2, 1), (3, 1), (4, 2), (10, 2),
+                                    (64, 8)])
+def test_short_words_skip_scan_with_scan_result(params):
+    rng = random.Random(11)
+    for make, g in _short_word_evaluators():
+        e = make(params)
+        A, B = e.partition
+        words = [NormalWord.identity(g)]
+        for _ in range(6):
+            a, b = _side_word(g, A, rng), _side_word(g, B, rng)
+            words += [a, b, a * b, b * a]
+        for w in words:
+            assert e._homog(w) == homogenise(e.base, w, *params), (e.kind, w)
+        # at max_n = 2 the scan sees one difference and flags 0 inexact
+        assert e._homog(words[0]) == HomogValue(Fraction(0),
+                                                params != (2, 1))
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_short_word_errors_match_scan():
+    g = expand(edgeless(["Z/5", "Z/3", "Z/2"]))
+    square = expand(ngon(4, "Z/3"))
+    cases = [
+        # an edge between the sides
+        (Evaluator(square, frozenset({0, 1}), part({0}, {1}),
+                   Code("A", Z123)), parse_word(square, "v0 v1")),
+        # a letter outside A | B
+        (Evaluator(g, frozenset({0, 1, 2}), part({0}, {1}),
+                   Code("A", Z123)), parse_word(g, "v0 v2")),
+        # an empty pattern
+        (Evaluator(g, frozenset({0, 1}), part({0}, {1}), Code("A", ())),
+         parse_word(g, "v0 v1")),
+        # a side that is neither A nor B
+        (Evaluator(g, frozenset({0, 1}), part({0}, {1}), Code("C", Z123)),
+         parse_word(g, "v1")),
+        # a WeightedZ side A that is not one Z vertex
+        (Evaluator(g, frozenset({0, 1}), part({0}, {1}), WeightedZ(Z123)),
+         parse_word(g, "v1 v0")),
+        # homogenisation parameters the scan rejects
+        (Evaluator(g, frozenset({0, 1}), part({0}, {1}), Code("A", Z123),
+                   homog_params=(1, 8)), parse_word(g, "v0")),
+    ]
+    for e, w in cases:
+        got = _outcome(lambda: e._homog(w))
+        assert isinstance(got, tuple), got
+        assert got == _outcome(lambda: homogenise(e.base, w,
+                                                  *e.homog_params))
 
 
 def test_average_shares_cache_and_flags():
