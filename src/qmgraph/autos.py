@@ -362,9 +362,9 @@ class _Aut0Pool(Sequence):
         return FactorAut(v, j + j // (p - 1) + 1)
 
 
-def valid_aut0_gens(g: LabeledGraph) -> list[AutGen]:
-    """The enumerable parameter space of type 2-4 generators."""
-    return list(_Aut0Pool(g))
+def valid_aut0_gens(g: LabeledGraph) -> Sequence[AutGen]:
+    """The enumerable parameter space of type 2-4 generators, lazily."""
+    return _Aut0Pool(g)
 
 
 def random_aut0(g: LabeledGraph, length: int, seed: int) -> AutWord:

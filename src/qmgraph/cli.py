@@ -18,12 +18,13 @@ from .evaluators import (BuildError, Code, Evaluator, SumBothSides, WeightedZ,
 from .decide import (EXISTS_CONSTRUCTIVE, decide, find_invariant_cones,
                      witness)
 from .scl import DefectEstimate, estimate_defect, scl_aut_lower_bound
-from .autos import enum_labelled_graph_autos
+from .autos import enum_labelled_graph_autos, labelled_aut_group
 from .graphs import (GraphError, LabeledGraph, expand, parse_graph,
                      tau_classes)
 from .words import WordError, parse_word
 
 USAGE_ERR, PARSE_ERR, MATH_ERR = 1, 2, 3
+LIST_CAP = 10 ** 6  # largest group `autos` lists, by its order read first
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,6 +186,9 @@ def _cmd_decide(args):
 
 def _cmd_autos(args):
     g = expand(_load_graph(args.file))
+    n = labelled_aut_group(g).order
+    if n > LIST_CAP:
+        raise GraphError(f"too many automorphisms to list ({n} > {LIST_CAP})")
     for sigma in enum_labelled_graph_autos(g):
         print(" ".join(f"{g.names[i]}:{g.names[sigma.perm[i]]}"
                        for i in range(g.n)))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .graphs import LabeledGraph
 from .words import Letter, NormalWord, WordError, syllable_letters
 
 Partition = tuple[frozenset[int], frozenset[int]]

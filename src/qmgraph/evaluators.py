@@ -6,19 +6,15 @@ optionally averaged over all labelled graph automorphisms (as a sum, not
 a mean).  All values are exact rationals whenever the homogenisation
 detects a stable period.
 
-The sum runs over the orbit of the side pair, not over Aut.  Let J be
-the automorphisms fixing A and B.  They permute the blocks of each side
-and keep block equality, so f(jy) = f(y) for j in J, and f(sigma x) is
-constant on each right coset J sigma.  These cosets match the images
-rho(A, B) = sigma^-1(A, B), hence
-
-    sum over sigma in Aut of f(sigma x) = |J| * sum over rho of f(rho^-1 x),
-
-with one rho per image of (A, B) and |J| = |Aut| / |orbit|.  The terms
-are the same homogenised values, so the value and exactness equal
-those of the full sum.  The cost is O(|orbit|) terms plus
-the stabiliser-chain search of autos.labelled_aut_group, against |Aut|
-terms for the full sum (5040 against 42 on K_{1,7}).
+The sum runs over the images of the side pair and moves no word.  A
+labelled automorphism rho only renames vertices: rho^-1 sends the
+rho A-syllables of a word over rho(C) one by one to the A-syllables of
+its image, keeping their equality and exponents, and r_C(rho^-1 x) =
+rho^-1 r_{rho C}(x).  So f_{A,B}(rho^-1 x) = f_{rho A, rho B}(x), with
+the same homogenised value and exactness.  As sigma runs over Aut,
+sigma^-1 (A, B) meets each image |J| = |Aut| / |orbit| times (J fixes A
+and B), so the sum is |J| times the sum of each image's own f at x, one
+term per image, after the orbit search of autos.labelled_aut_group.
 
 A retracted word w with at most two syllables in W_A * W_B homogenises
 to 0 without the power scan.  Such a w is e, lies in W_A or W_B, or is
@@ -38,13 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from itertools import groupby
 from typing import Optional, Union
 
 from . import codes
-from .autos import (LabelledGraphAut, apply_gen, labelled_aut_group,
-                    labelled_isomorphisms)
+from .autos import labelled_aut_group, labelled_isomorphisms
 from .codes import HomogValue, homogenise, is_generic
 from .graphs import LabeledGraph, connected_components, is_lower_cone
 from .words import NormalWord, retraction
@@ -84,6 +79,13 @@ def _syllable_count(w: NormalWord, A: frozenset[int]) -> int:
     return sum(1 for _ in groupby(w.letters, lambda letter: letter[0] in A))
 
 
+@lru_cache(maxsize=None)
+def _all_zero(homog_params: tuple[int, int]) -> HomogValue:
+    """The scan's value when every f(w^n) is 0; only the parameters count."""
+    return homogenise(lambda _: 0, NormalWord.identity(LabeledGraph((), ())),
+                      *homog_params)
+
+
 def _single_z(g: LabeledGraph, S: frozenset[int]) -> bool:
     return len(S) == 1 and g.labels[next(iter(S))].is_infinite
 
@@ -107,7 +109,7 @@ class Evaluator:
         self.homog_params = homog_params
         self.averaged = averaged
         self._homog_cache: dict[tuple, HomogValue] = {}
-        self._cosets: Optional[tuple[int, list[LabelledGraphAut]]] = None
+        self._terms: Optional[tuple[int, list[Evaluator]]] = None
 
     # -- base counting function over the cone's free product ----------------
 
@@ -122,12 +124,6 @@ class Evaluator:
                     + codes.code_qm(w, self.partition, "B", k.z))
         raise BuildError(f"unknown kind {k!r}")
 
-    @cached_property
-    def _zero(self) -> HomogValue:
-        """What the power scan returns when every f(w^n) is 0."""
-        return homogenise(lambda _: 0, NormalWord.identity(self.graph),
-                          *self.homog_params)
-
     def _homog(self, w: NormalWord) -> HomogValue:
         key = w.letters
         got = self._homog_cache.get(key)
@@ -136,24 +132,28 @@ class Evaluator:
                     and _syllable_count(w, self.partition[0]) <= 2):
                 # f(w^n) = 0 for all n (module docstring); the scan's
                 # parameter checks, then its n = 1 step for base's checks
-                got = self._zero
+                got = _all_zero(self.homog_params)
                 self.base(w)
             else:
                 got = homogenise(self.base, w, *self.homog_params)
             self._homog_cache[key] = got
         return got
 
-    def cosets(self) -> tuple[int, list[LabelledGraphAut]]:
-        """|J| and one automorphism rho^-1 per image rho(A, B), where J
-        fixes A and B (see the module docstring); built on first use."""
-        if self._cosets is None:
+    def terms(self) -> tuple[int, list[Evaluator]]:
+        """(m, ts): the value at x is m * sum of t._homog(r_{t.cone}(x))
+        over ts; averaged, |J| and one evaluator per image of (A, B)."""
+        if not self.averaged:
+            return 1, [self]
+        if self._terms is None:
             group = labelled_aut_group(self.graph)
             orbit = group.pair_orbit(*self.partition)
-            self._cosets = (group.order // len(orbit), [
-                LabelledGraphAut(tuple(sorted(range(group.n),
-                                              key=rho.__getitem__)))
-                for rho in orbit.values()])
-        return self._cosets
+            images = [Evaluator(self.graph,
+                                frozenset(rho[v] for v in self.cone), pair,
+                                self.kind, self.homog_params)
+                      for pair, rho in orbit.items()]
+            images[0]._homog_cache = self._homog_cache  # (A, B) comes first
+            self._terms = (group.order // len(orbit), images)
+        return self._terms
 
 
 def build(graph: LabeledGraph, cone: frozenset[int],
@@ -226,7 +226,6 @@ def average(e: Evaluator) -> Evaluator:
     out = Evaluator(e.graph, e.cone, e.partition, e.kind, e.homog_params,
                     averaged=True)
     out._homog_cache = e._homog_cache
-    out._cosets = e._cosets
     return out
 
 
@@ -234,13 +233,10 @@ def evaluate(e: Evaluator, x: NormalWord) -> HomogValue:
     """Homogenised (and, if averaged, automorphism-summed) value at x."""
     if x.graph is not e.graph:
         raise BuildError("word over a different graph")
-    if not e.averaged:
-        return e._homog(retraction(x, e.cone))
-    size, reps = e.cosets()
-    total = Fraction(0)
-    exact = True
-    for sigma in reps:
-        term = e._homog(retraction(apply_gen(sigma, x), e.cone))
+    size, terms = e.terms()
+    total, exact = Fraction(0), True
+    for t in terms:
+        term = t._homog(retraction(x, t.cone))
         total += term.value
         exact = exact and term.exact
     return HomogValue(size * total, exact)

@@ -209,6 +209,16 @@ def test_valid_aut0_gens_all_validate():
             assert ok, reason
 
 
+def test_valid_aut0_gens_is_lazy_on_a_huge_order():
+    # one Z/(10^9+7) vertex has 10^9 + 5 factor automorphisms m = 2..p-1
+    p = 10 ** 9 + 7
+    start = time.perf_counter()
+    gens = valid_aut0_gens(expand(edgeless([f"Z/{p}"])))
+    assert len(gens) == p - 2
+    assert (gens[0], gens[p - 3]) == (FactorAut(0, 2), FactorAut(0, p - 1))
+    assert time.perf_counter() - start < 1
+
+
 # -- one normalisation per image, against the letterwise definition ----------
 
 def _small_graphs():
@@ -233,7 +243,7 @@ def _small_graphs():
 @pytest.mark.parametrize("graph", list(_small_graphs()))
 def test_apply_gen_matches_letterwise_definition(graph):
     g = expand(graph)
-    gens = valid_aut0_gens(g) + enum_labelled_graph_autos(g)
+    gens = list(valid_aut0_gens(g)) + enum_labelled_graph_autos(g)
     words = [random_word(g, k, seed=k) for k in range(0, 16, 3)]
     # a large exponent on every vertex, then the product of all of them
     words += [NormalWord.letter(g, v, 1000 + v) for v in range(g.n)]
@@ -253,7 +263,7 @@ def _aut0_graphs():
 @pytest.mark.parametrize("graph", list(_aut0_graphs()))
 def test_aut0_pool_matches_list_version(graph):
     g = expand(graph)
-    assert valid_aut0_gens(g) == letterwise.valid_aut0_gens(g)
+    assert list(valid_aut0_gens(g)) == letterwise.valid_aut0_gens(g)
     for seed in range(200):
         assert random_aut0(g, 3, seed) == letterwise.random_aut0(g, 3, seed)
 

@@ -1,7 +1,10 @@
 """CLI surface: output formats, exit codes, and the corpus runner."""
 
 import json
+import math
 import os
+import time
+from itertools import permutations
 
 import pytest
 
@@ -106,6 +109,26 @@ def test_autos(capsys, tmp_path):
     assert code == 0
     lines = out.splitlines()
     assert "a:a b:b" in lines and "a:b b:a" in lines
+
+
+def test_autos_lists_a_star_in_lexicographic_order(capsys, tmp_path):
+    code, out, _ = run(capsys, "autos", _star(tmp_path, 7))
+    assert code == 0
+    assert out.splitlines() == [
+        "c:c " + " ".join(f"l{i}:l{t}" for i, t in enumerate(p))
+        for p in permutations(range(7))]
+
+
+def test_autos_refuses_a_group_too_large_to_list(capsys, tmp_path):
+    # K_{1,15} passes the vertex bound; its 15! automorphisms would take
+    # hours to list, so the group order is checked first
+    star15 = _star(tmp_path, 15)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "autos", star15)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (f"error: too many automorphisms to list "
+                   f"({math.factorial(15)} > {cli.LIST_CAP})\n")
 
 
 def test_eval_value_line(capsys, z5z3_file):
@@ -338,6 +361,12 @@ def _write(tmp_path, name, lines):
     return str(p)
 
 
+def _star(tmp_path, k):
+    return _write(tmp_path, f"star{k}.graph",
+                  ["vertex c Z"] + [f"vertex l{i} Z/3" for i in range(k)]
+                  + [f"edge c l{i}" for i in range(k)])
+
+
 def test_size_caps_are_exit_3(capsys, tmp_path):
     path17 = _write(tmp_path, "path17.graph",
                     [f"vertex v{i} Z/2" for i in range(17)]
@@ -385,21 +414,21 @@ def test_huge_orders_factor_or_fail_fast(capsys, tmp_path, monkeypatch):
 def test_eval_avg_on_a_large_star_sums_over_the_pair_orbit(
         capsys, tmp_path, monkeypatch):
     """K_{1,9} has 9! = 362880 automorphisms but the side pair (l0, l1)
-    only 72 images: eval --avg applies one automorphism per image and
-    never lists the group."""
-    star9 = _write(tmp_path, "star9.graph",
-                   ["vertex c Z"] + [f"vertex l{i} Z/3" for i in range(9)]
-                   + [f"edge c l{i}" for i in range(9)])
+    only 72 images: eval --avg takes one term per image, moves the side
+    pair instead of the word, so it applies no automorphism to a word,
+    and never lists the group."""
+    star9 = _star(tmp_path, 9)
     applied = []
 
-    def counted(gen, x):
+    def counted(gen, x, apply=autos.apply_gen):
         applied.append(gen)
-        return autos.apply_gen(gen, x)
+        return apply(gen, x)
 
     def refuse(g):
         raise AssertionError("the automorphism group was listed")
 
-    monkeypatch.setattr(evaluators, "apply_gen", counted)
+    for module in (autos, evaluators):
+        monkeypatch.setattr(module, "apply_gen", counted, raising=False)
     for module in (autos, evaluators, cli, decide):
         monkeypatch.setattr(module, "enum_labelled_graph_autos", refuse,
                             raising=False)
@@ -412,7 +441,7 @@ def test_eval_avg_on_a_large_star_sums_over_the_pair_orbit(
     # 7! automorphisms fix l0 and l1; the images (l0, l1) and (l1, l0)
     # each add the unaveraged value 1
     assert out == "value=10080 exact=True\n"
-    assert len(applied) <= 72
+    assert applied == []
 
 
 def test_witness_on_too_many_classes_is_exit_3(capsys, tmp_path):

@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qmgraph.autos import apply_gen, enum_labelled_graph_autos
+from qmgraph.autos import (LabelledGraphAut, apply_gen,
+                           enum_labelled_graph_autos)
 from qmgraph.codes import HomogValue, homogenise
 from qmgraph.evaluators import (BuildError, Code, Evaluator, SumBothSides,
                                 WeightedZ, average, build, evaluate,
@@ -422,14 +423,46 @@ def test_averaged_evaluate_matches_full_group_sum(case):
     assert (got.value, got.exact) == (want.value, want.exact)
 
 
-def test_averaged_evaluate_sums_over_right_cosets():
-    """The representatives here are not a right transversal, so summing
-    f(rho x) in place of f(rho^-1 x) reads 2 instead of 10/3."""
+def _coset_case():
+    """An evaluator and a word on which f(rho x) and f(rho^-1 x) differ
+    for some labelled automorphism rho, which generated cases rarely show."""
     g = expand(edgeless(["Z", "Z/2", "Z/3", "Z/3", "Z/3", "Z/4", "Z"]))
     e = Evaluator(g, frozenset({0, 4, 5, 6}), part({4, 5, 6}, {0}),
                   SumBothSides(Z123), homog_params=(3, 1))
     x = parse_word(g, "v5^2 v0^2 v6^-1 v0^-1 v6^-1 v0^-1 v5^2 v0^-2 v5^2 "
                       "v0^-1 v5^2 v0 v3^2 v5^2")
+    return e, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(averaged_cases())
+@example(_coset_case())
+def test_moving_the_pair_equals_moving_the_word(case):
+    """The transport lemma averaging rests on: for every labelled
+    automorphism rho, the evaluator of (rho A, rho B) over rho(cone) at x
+    equals the evaluator of (A, B) at rho^-1 x."""
+    e, x = case
+    autos = enum_labelled_graph_autos(e.graph)
+    assume(len(autos) <= 5040)
+    moved = {}  # one evaluator per image, so that each scans once
+    for rho in autos:
+        p = rho.perm
+        cone, A, B = (frozenset(p[v] for v in S)
+                      for S in (e.cone, *e.partition))
+        inverse = [0] * len(p)
+        for v, t in enumerate(p):
+            inverse[t] = v
+        got = evaluate(moved.setdefault(
+            (cone, A, B),
+            Evaluator(e.graph, cone, (A, B), e.kind, e.homog_params)), x)
+        want = evaluate(e, apply_gen(LabelledGraphAut(tuple(inverse)), x))
+        assert (got.value, got.exact) == (want.value, want.exact), rho
+
+
+def test_averaged_evaluate_sums_over_right_cosets():
+    """f(rho x) and f(rho^-1 x) differ here, so a sum that confused rho
+    with rho^-1 would read 2 instead of 10/3."""
+    e, x = _coset_case()
     got = evaluate(average(e), x)
     assert got == full_group_sum(e, x)
     assert got == HomogValue(Fraction(10, 3), False)
