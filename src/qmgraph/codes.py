@@ -1,10 +1,10 @@
 """Run-length codes of free-product words and the counting quasimorphisms.
 
 For g in W_A * W_B the A-tuple is the sequence of A-blocks of its reduced
-form, the A-code its run-length sequence, and theta_z counts maximal
+form, the A-code its run-length sequence, and #_z counts maximal
 disjoint occurrences of a pattern z inside the code.  The quasimorphism is
-f_z(g) = theta_z(g) - theta_z(g^-1); weighted Z-codes handle an infinite
-cyclic side by summing maximal same-sign exponent runs.
+f_z(g) = #_z(code(g)) - #_z(code(g^-1)); weighted Z-codes handle an
+infinite cyclic side by summing maximal same-sign exponent runs.
 
 The reduced form of g^-1 is that of g reversed with every block inverted,
 so both codes of g^-1 are the codes of g reversed.  Disjoint copies of z
@@ -96,11 +96,6 @@ def count_disjoint(seq: Sequence[int], z: Sequence[int]) -> int:
     return count
 
 
-def theta(x: NormalWord, partition: Partition, side: str,
-          z: Sequence[int]) -> int:
-    return count_disjoint(code(x, partition, side), z)
-
-
 def _antisymmetric_count(c: tuple[int, ...], z: Sequence[int]) -> int:
     """#_z(c) - #_z(reverse(c)), computed as #_z(c) - #_{reverse(z)}(c)."""
     z = tuple(z)
@@ -110,10 +105,6 @@ def _antisymmetric_count(c: tuple[int, ...], z: Sequence[int]) -> int:
 def code_qm(x: NormalWord, partition: Partition, side: str,
             z: Sequence[int]) -> int:
     return _antisymmetric_count(code(x, partition, side), z)
-
-
-def weighted_theta(x: NormalWord, partition: Partition, z: Sequence[int]) -> int:
-    return count_disjoint(weighted_z_code(x, partition), z)
 
 
 def weighted_code_qm(x: NormalWord, partition: Partition,

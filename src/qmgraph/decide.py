@@ -19,7 +19,7 @@ from .graphs import (GraphError, LabeledGraph, TauClassification,
                      component_masks, connected_components, expand,
                      is_lower_cone, lower_cone_L, lower_cone_mask,
                      mask_vertices, vertex_mask, FREE)
-from .words import NormalWord, parse_word
+from .words import NormalWord
 
 FINITE = "Finite"
 ABELIAN = "Abelian"

@@ -241,15 +241,3 @@ def evaluate(e: Evaluator, x: NormalWord) -> HomogValue:
         exact = exact and term.exact
     return HomogValue(size * total, exact)
 
-
-def stabilizer_count(graph: LabeledGraph, cone: frozenset[int],
-                     partition: tuple[frozenset[int], frozenset[int]]) -> int:
-    """|J|: labelled graph automorphisms fixing the cone and the side pair
-    {A, B}, as |Aut| over the size of the orbit of {A, B}; 0 when A | B
-    is not the cone."""
-    A, B = frozenset(partition[0]), frozenset(partition[1])
-    if A | B != frozenset(cone):
-        return 0
-    group = labelled_aut_group(graph)
-    images = {frozenset(p) for p in group.pair_orbit(A, B)}
-    return group.order // len(images)

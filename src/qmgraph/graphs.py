@@ -2,8 +2,8 @@
 
 A labeled graph carries one cyclic group per vertex (infinite cyclic or
 Z/n).  After expansion every finite label is primary (prime power order)
-and the transvection preorders <=, <=_s, <=_tau are available, together
-with their equivalence classes, lower cones and the structural predicates
+and the dominated-transvection preorder <=_tau is available, together
+with its equivalence classes, lower cones and the structural predicates
 used by the decision procedures.
 """
 
@@ -228,18 +228,6 @@ class LabeledGraph:
         return f"LabeledGraph({self.n} vertices, {len(self.edges)} edges)"
 
     # -- preorders ---------------------------------------------------------
-
-    def leq(self, v: int, w: int) -> bool:
-        """lk(v) contained in st(w)."""
-        self._check(v)
-        self._check(w)
-        return self.adj[v] & ~(self.adj[w] | 1 << w) == 0
-
-    def leq_s(self, v: int, w: int) -> bool:
-        """st(v) contained in st(w)."""
-        self._check(v)
-        self._check(w)
-        return (self.adj[v] | 1 << v) & ~(self.adj[w] | 1 << w) == 0
 
     @cached_property
     def tau_down(self) -> tuple[int, ...]:

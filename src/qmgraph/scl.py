@@ -1,4 +1,7 @@
-"""Aut-invariant commutator predicates and scl lower bounds.
+"""scl lower bounds from Aut-invariant quasimorphisms.
+
+scl_Aut is defined on the commutator subgroup [Aut-hat G, G]
+(Kawasaki-Kimura).
 
 The Bavard-type inequality scl_Aut(x) >= |phi(x)| / (2 D(phi)) needs a bound
 on the defect D.  Since no certified constants are available, the bound is
@@ -14,12 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .evaluators import Evaluator, evaluate
-from .graphs import GraphError, LabeledGraph, center_support, expand
+from .graphs import GraphError, center_support
 from .words import NormalWord, random_word
-
-EQUAL = "Equal"
-FINITE_INDEX = "FiniteIndex"
-NO_CLAIM = "NoClaim"
 
 RIGOROUS = "rigorous-given-bound"
 HEURISTIC = "heuristic"
@@ -43,24 +42,6 @@ class DefectEstimate:
         if (self.user_bound is not None
                 and self.user_bound < self.empirical_max):
             raise ValueError("user_bound contradicts the empirical maximum")
-
-
-def commutator_conditions(graph: LabeledGraph) -> str:
-    """How [Aut-hat G, G] sits inside G, as far as is known.
-
-    Equal: trivial center, no infinite-order elements, no elements of order
-    a power of two.  FiniteIndex: no central vertex with an infinite label.
-    NoClaim otherwise.
-    """
-    g = expand(graph)
-    center = center_support(g)
-    has_inf = any(s.is_infinite for s in g.labels)
-    has_two = any(s.prime == 2 for s in g.labels if not s.is_infinite)
-    if not center and not has_inf and not has_two:
-        return EQUAL
-    if all(not g.labels[v].is_infinite for v in center):
-        return FINITE_INDEX
-    return NO_CLAIM
 
 
 def _cone_word(e: Evaluator, rng: random.Random, max_len: int) -> NormalWord:

@@ -2,18 +2,18 @@
 read both counts off one code.
 
 Kept as the oracle of the differential test in test_codes.py: each value
-is theta_z(x) - theta_z(x^-1), with the inverse normalised and its code
-computed afresh.
+is #_z(code(x)) - #_z(code(x^-1)), with the inverse normalised and its
+code computed afresh.
 """
 
-from qmgraph.codes import theta, weighted_theta
+from qmgraph.codes import code, count_disjoint, weighted_z_code
 
 
 def code_qm(x, partition, side, z):
-    return theta(x, partition, side, z) - theta(x.inverse(), partition,
-                                                side, z)
+    return (count_disjoint(code(x, partition, side), z)
+            - count_disjoint(code(x.inverse(), partition, side), z))
 
 
 def weighted_code_qm(x, partition, z):
-    return weighted_theta(x, partition, z) - weighted_theta(
-        x.inverse(), partition, z)
+    return (count_disjoint(weighted_z_code(x, partition), z)
+            - count_disjoint(weighted_z_code(x.inverse(), partition), z))

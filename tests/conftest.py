@@ -1,8 +1,14 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, strategies as st
 
-from qmgraph.graphs import LabeledGraph, expand, parse_graph
+from qmgraph.autos import enum_labelled_graph_autos
+from qmgraph.evaluators import Code, Evaluator, SumBothSides, WeightedZ
+from qmgraph.graphs import (connected_components, expand, is_lower_cone,
+                            parse_graph)
+from qmgraph.words import NormalWord
 
 
 def ngon(n, label):
@@ -58,6 +64,77 @@ def lambda_raag():
     text = "\n".join(f"vertex w{i} Z" for i in range(7)) + "\n"
     text += "\n".join(f"edge w{a} w{m}" for a in (0, 4) for m in (1, 2, 3))
     return parse_graph(text + "\nedge w4 w5\nedge w4 w6")
+
+
+def brute_force_stabilizer_count(g, cone, partition):
+    """|J| by enumeration: labelled graph automorphisms that map the cone
+    onto itself and the side pair {A, B} onto itself as a set."""
+    A, B = partition
+    count = 0
+    for sigma in enum_labelled_graph_autos(g):
+        pA = frozenset(sigma.perm[v] for v in A)
+        pB = frozenset(sigma.perm[v] for v in B)
+        count += pA | pB == cone and {pA, pB} == {A, B}
+    return count
+
+
+LABELS = ["Z", "Z/2", "Z/3", "Z/4"]
+
+
+def _letter(rng, g, S):
+    v = rng.choice(sorted(S))
+    order = g.labels[v].order
+    return (v, rng.choice([-2, -1, 1, 2]) if order is None
+            else rng.randrange(1, order))
+
+
+@st.composite
+def averaged_cases(draw):
+    """An evaluator of each kind on a free product of two graphs with at
+    most 8 vertices, over a lower cone that splits, with homogenisation
+    parameters small enough to leave some values inexact, and a word u w v:
+    w realises z in the evaluator's code as decide's witnesses do, and u, v
+    are short words on the whole graph, so the terms differ by image."""
+    sizes = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    labels = [draw(st.sampled_from(LABELS)) for _ in range(sum(sizes))]
+    n = len(labels)
+    text = "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labels))
+    for lo, hi in ((0, sizes[0]), (sizes[0], n)):
+        text += "".join(f"edge v{i} v{j}\n" for i in range(lo, hi)
+                        for j in range(i + 1, hi) if draw(st.booleans()))
+    g = expand(parse_graph(text))
+    assume(g.n <= 8)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    cones = [(frozenset(X), comps)
+             for r in range(2, g.n + 1)
+             for X in combinations(range(g.n), r)
+             if is_lower_cone(g, frozenset(X))
+             and len(comps := connected_components(g, X)) > 1]
+    cone, comps = rng.choice(cones)
+    picked = rng.sample(comps, rng.randint(1, len(comps) - 1))
+    A = frozenset().union(*picked)
+    B = cone - A
+    z = rng.choice([(1, 2, 3), (2, 1, 3)])
+    kinds = [Code("A", z), Code("B", z), SumBothSides(z)]
+    if len(A) == 1 and g.labels[min(A)].is_infinite:
+        kinds.append(WeightedZ(z))
+    kind = rng.choice(kinds)
+    params = rng.choice([(3, 1), (4, 1), (5, 2), (16, 4)])
+    e = Evaluator(g, cone, (A, B), kind, homog_params=params)
+    S, T = (B, A) if kind == Code("B", z) else (A, B)
+    blocks = [_letter(rng, g, S), _letter(rng, g, S)]
+    # with an odd number of runs the last run merges into the first one
+    # of the next power, which leaves short scans inexact
+    runs = rng.choice([z, z + (4,)])
+    w = [c for i, r in enumerate(runs) for _ in range(r)
+         for c in (blocks[i % 2], _letter(rng, g, T))]
+    if isinstance(kind, WeightedZ):
+        w = [c for i, r in enumerate(runs)
+             for c in ((min(A), (-1) ** i * r), _letter(rng, g, T))]
+    V = range(g.n)
+    u, v = ([_letter(rng, g, V) for _ in range(rng.randint(0, 3))]
+            for _ in range(2))
+    return e, NormalWord(g, u + w + v)
 
 
 @pytest.fixture

@@ -1,21 +1,25 @@
 """Codes, pattern counting, genericity, and homogenisation."""
 
 from fractions import Fraction
+from importlib import resources
 from itertools import groupby, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import codes_reference as two_pass
+import homog_reference
 from qmgraph.codes import (HomogValue, code, code_qm, count_disjoint,
-                           homogenise, is_generic, theta, weighted_code_qm,
-                           weighted_theta, weighted_z_code)
-from qmgraph.evaluators import Code, Evaluator, SumBothSides, WeightedZ
+                           homogenise, is_generic, weighted_code_qm,
+                           weighted_z_code)
+from qmgraph.decide import EXISTS_CONSTRUCTIVE, decide, witness
+from qmgraph.evaluators import (Code, Evaluator, SumBothSides, WeightedZ,
+                                build)
 from qmgraph.graphs import expand, parse_graph
-from qmgraph.words import (NormalWord, WordError, parse_word,
-                           syllable_letters)
+from qmgraph.words import (NormalWord, WordError, parse_word, random_word,
+                           retraction, syllable_letters)
 
-from conftest import edgeless, ngon
+from conftest import averaged_cases, edgeless, lambda_raag, ngon
 
 
 @pytest.fixture
@@ -32,12 +36,12 @@ def test_worked_example_codes(z5b):
     assert code(x, part, "A") == (1, 2, 1, 2, 1, 2, 3)
     assert code(x.inverse(), part, "A") == (3, 2, 1, 2, 1, 2, 1)
 
-    assert theta(x, part, "A", (1, 2, 1)) == 1
-    assert theta(x.inverse(), part, "A", (1, 2, 1)) == 1
+    assert count_disjoint(code(x, part, "A"), (1, 2, 1)) == 1
+    assert count_disjoint(code(x.inverse(), part, "A"), (1, 2, 1)) == 1
     assert code_qm(x, part, "A", (1, 2, 1)) == 0
 
-    assert theta(x, part, "A", (1, 2, 3)) == 1
-    assert theta(x.inverse(), part, "A", (1, 2, 3)) == 0
+    assert count_disjoint(code(x, part, "A"), (1, 2, 3)) == 1
+    assert count_disjoint(code(x.inverse(), part, "A"), (1, 2, 3)) == 0
     assert code_qm(x, part, "A", (1, 2, 3)) == 1
 
     for n in range(1, 33):
@@ -73,7 +77,7 @@ def test_weighted_qm_on_alternating_word():
     # runs 1, 2, 3 with alternating signs stay separate in the weighted code
     x = parse_word(g, "a b a^-2 b a^3 b")
     assert weighted_z_code(x, part) == (1, 2, 3)
-    assert weighted_theta(x, part, (1, 2, 3)) == 1
+    assert count_disjoint(weighted_z_code(x, part), (1, 2, 3)) == 1
     assert weighted_code_qm(x, part, (1, 2, 3)) == 1
 
 
@@ -226,3 +230,84 @@ def test_code_matches_block_run_lengths(case, k):
                   for s, run in syllable_letters(x, part) if s == side]
         assert code(x, part, side) == tuple(
             len(list(run)) for _, run in groupby(blocks))
+
+
+# -- the power scan against exact homogenisation by cyclic reduction --------
+
+def _assert_scan_matches_reference(e, w):
+    """Where the scan at e's parameters is exact it equals the reference;
+    where it is not, the scan at (64, 8) is exact and equals it."""
+    want = homog_reference.homog_value(e, w)
+    got = homogenise(e.base, w, *e.homog_params)
+    if not got.exact:
+        got = homogenise(e.base, w, 64, 8)
+    assert got == HomogValue(want, True), (e.homog_params, w.letters)
+    return want
+
+
+def _pinned_inexact_case():
+    """The scan of test_homogenise_inexact_reports_bound, as an evaluator."""
+    g = expand(ngon(5, "Z/2"))
+    e = Evaluator(g, frozenset({0, 2, 3}), (frozenset({0}),
+                                           frozenset({2, 3})),
+                  Code("B", (1, 2, 3)), homog_params=(3, 1))
+    x = parse_word(g, "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
+                      "v3 v0 v3 v0 v3 v0 v2")
+    return e, x
+
+
+def _half_rate_case():
+    """z = (1, 2, 3, 1, 2) is generic but overlaps itself, so greedy
+    counting on code (1, 2, 3)^n finds one copy every two periods."""
+    g = expand(edgeless(["Z/5", "Z/3"]))
+    e = Evaluator(g, frozenset({0, 1}), (frozenset({0}), frozenset({1})),
+                  Code("A", (1, 2, 3, 1, 2)), homog_params=(16, 4))
+    x = parse_word(g, "v0 v1 v0^2 v1 v0^2 v1 v0^3 v1 v0^3 v1 v0^3 v1")
+    assert homog_reference.homog_value(e, x) == Fraction(1, 2)
+    return e, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(averaged_cases(), st.integers(2, 3), st.integers(0, 2 ** 32))
+@example(_pinned_inexact_case(), 2, 0)
+@example(_half_rate_case(), 2, 0)
+def test_homogenise_matches_cyclic_reduction(case, k, seed):
+    e, x = case
+    y = random_word(e.graph, 4, seed=seed)
+    for word in (x, x ** k, x.inverse(), x.conjugate_by(y)):
+        _assert_scan_matches_reference(e, retraction(word, e.cone))
+
+
+def _witness_graphs():
+    root = resources.files("qmgraph") / "corpus"
+    for line in (root / "expected.tsv").read_text().splitlines():
+        name, status = line.split("\t")
+        if status == EXISTS_CONSTRUCTIVE:
+            yield pytest.param(
+                parse_graph((root / f"{name}.graph").read_text()), id=name)
+    # WeightedZ witnesses on a RAAG and on two free products, and a
+    # SumBothSides witness on a star with a Z centre
+    yield pytest.param(lambda_raag(), id="lambda_raag")
+    yield pytest.param(edgeless(["Z", "Z/3"]), id="free_z_z3")
+    yield pytest.param(edgeless(["Z/2", "Z/3", "Z"]), id="free_z2_z3_z")
+    yield pytest.param(parse_graph(
+        "vertex c Z\n" + "".join(f"vertex l{i} Z/{2 + i % 2}\nedge c l{i}\n"
+                                 for i in range(4))), id="star_z_4")
+
+
+@pytest.mark.parametrize("graph", _witness_graphs())
+def test_witness_homogenises_to_the_reference_value(graph):
+    """The scan at its defaults agrees with the reference on each witness,
+    its powers, its inverse and its conjugates, and the reference reads 1
+    on the witness and on every conjugate of it."""
+    v = decide(graph)
+    spec = v.witness
+    e = build(v.graph, spec.cone, spec.partition, spec.kind)
+    x = witness(graph, v)
+    for k in (1, 2, 3, -1):
+        w = retraction(x ** k, e.cone)
+        assert _assert_scan_matches_reference(e, w) == k
+    for seed in range(3):
+        y = random_word(v.graph, 5, seed=seed)
+        w = retraction(x.conjugate_by(y), e.cone)
+        assert _assert_scan_matches_reference(e, w) == 1

@@ -2,22 +2,21 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings
 
 from qmgraph.autos import (LabelledGraphAut, apply_gen,
                            enum_labelled_graph_autos)
 from qmgraph.codes import HomogValue, homogenise
 from qmgraph.evaluators import (BuildError, Code, Evaluator, SumBothSides,
                                 WeightedZ, average, build, evaluate,
-                                labeled_isomorphic, stabilizer_count)
-from qmgraph.graphs import (connected_components, expand, is_lower_cone,
-                            parse_graph)
+                                labeled_isomorphic)
+from qmgraph.graphs import expand, parse_graph
 from qmgraph.words import NormalWord, parse_word, retraction
 
-from conftest import edgeless, figure1_raag, ngon
+from conftest import (averaged_cases, brute_force_stabilizer_count, edgeless,
+                      figure1_raag, ngon)
 
 Z123 = (1, 2, 3)
 
@@ -273,18 +272,6 @@ def test_average_shares_cache_and_flags():
     assert a._homog_cache is e._homog_cache
 
 
-@pytest.mark.parametrize("graph,cone,sides,expected", [
-    (figure1_raag(), {0, 4}, ({0}, {4}), 12),
-    (ngon(4, "Z/3"), {0, 2}, ({0}, {2}), 4),
-    # past the 16-vertex search cap: the pair does not cover the cone, so
-    # the count is 0 without a group search
-    (edgeless(["Z/2"] * 17), {0, 1, 2}, ({0}, {1}), 0),
-])
-def test_stabilizer_count(graph, cone, sides, expected):
-    g = expand(graph)
-    assert stabilizer_count(g, frozenset(cone), part(*sides)) == expected
-
-
 def test_restriction_scaling_square_z3():
     g = expand(ngon(4, "Z/3"))
     cone = frozenset({0, 2})
@@ -295,7 +282,8 @@ def test_restriction_scaling_square_z3():
     plain = evaluate(e, x)
     summed = evaluate(a, x)
     assert plain.exact and summed.exact
-    assert summed.value == stabilizer_count(g, cone, p) * plain.value
+    assert summed.value == brute_force_stabilizer_count(g, cone, p) \
+        * plain.value
 
 
 def test_restriction_scaling_figure1_raag():
@@ -309,8 +297,8 @@ def test_restriction_scaling_figure1_raag():
     plain = evaluate(e, x)
     summed = evaluate(a, x)
     assert plain.exact and summed.exact
-    assert summed.value == stabilizer_count(g, cone, p) * plain.value
-    assert stabilizer_count(g, cone, p) == 12
+    j = brute_force_stabilizer_count(g, cone, p)
+    assert summed.value == j * plain.value and j == 12
 
 
 # -- orbit-level averaging against the whole group ---------------------------
@@ -326,17 +314,10 @@ def full_group_sum(e, x):
     return HomogValue(total, exact)
 
 
-def brute_force_stabilizer_count(g, cone, partition):
-    A, B = partition
-    count = 0
-    for sigma in enum_labelled_graph_autos(g):
-        pA = frozenset(sigma.perm[v] for v in A)
-        pB = frozenset(sigma.perm[v] for v in B)
-        count += pA | pB == cone and {pA, pB} == {A, B}
-    return count
-
-
-def test_stabilizer_count_matches_brute_force():
+def test_terms_multiplicity_matches_brute_force():
+    """An averaged evaluator's multiplicity is the number of automorphisms
+    fixing A and B as an ordered pair (so also the cone A | B), and its
+    terms are the distinct images of (A, B), one per coset of them."""
     rng = random.Random(5)
     for _ in range(150):
         n = rng.randint(2, 8)
@@ -349,68 +330,15 @@ def test_stabilizer_count_matches_brute_force():
         vs = rng.sample(range(g.n), rng.randint(2, g.n))
         k = rng.randint(1, len(vs) - 1)
         A, B = frozenset(vs[:k]), frozenset(vs[k:])
-        cone = A | B if rng.random() < 0.9 else A
-        assert stabilizer_count(g, cone, (A, B)) == \
-            brute_force_stabilizer_count(g, cone, (A, B))
-
-
-LABELS = ["Z", "Z/2", "Z/3", "Z/4"]
-
-
-def _letter(rng, g, S):
-    v = rng.choice(sorted(S))
-    order = g.labels[v].order
-    return (v, rng.choice([-2, -1, 1, 2]) if order is None
-            else rng.randrange(1, order))
-
-
-@st.composite
-def averaged_cases(draw):
-    """An evaluator of each kind on a free product of two graphs with at
-    most 8 vertices, over a lower cone that splits, with homogenisation
-    parameters small enough to leave some values inexact, and a word u w v:
-    w realises z in the evaluator's code as decide's witnesses do, and u, v
-    are short words on the whole graph, so the terms differ by image."""
-    sizes = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
-    labels = [draw(st.sampled_from(LABELS)) for _ in range(sum(sizes))]
-    n = len(labels)
-    text = "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labels))
-    for lo, hi in ((0, sizes[0]), (sizes[0], n)):
-        text += "".join(f"edge v{i} v{j}\n" for i in range(lo, hi)
-                        for j in range(i + 1, hi) if draw(st.booleans()))
-    g = expand(parse_graph(text))
-    assume(g.n <= 8)
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    cones = [(frozenset(X), comps)
-             for r in range(2, g.n + 1)
-             for X in combinations(range(g.n), r)
-             if is_lower_cone(g, frozenset(X))
-             and len(comps := connected_components(g, X)) > 1]
-    cone, comps = rng.choice(cones)
-    picked = rng.sample(comps, rng.randint(1, len(comps) - 1))
-    A = frozenset().union(*picked)
-    B = cone - A
-    z = rng.choice([(1, 2, 3), (2, 1, 3)])
-    kinds = [Code("A", z), Code("B", z), SumBothSides(z)]
-    if len(A) == 1 and g.labels[min(A)].is_infinite:
-        kinds.append(WeightedZ(z))
-    kind = rng.choice(kinds)
-    params = rng.choice([(3, 1), (4, 1), (5, 2), (16, 4)])
-    e = Evaluator(g, cone, (A, B), kind, homog_params=params)
-    S, T = (B, A) if kind == Code("B", z) else (A, B)
-    blocks = [_letter(rng, g, S), _letter(rng, g, S)]
-    # with an odd number of runs the last run merges into the first one
-    # of the next power, which leaves short scans inexact
-    runs = rng.choice([z, z + (4,)])
-    w = [c for i, r in enumerate(runs) for _ in range(r)
-         for c in (blocks[i % 2], _letter(rng, g, T))]
-    if isinstance(kind, WeightedZ):
-        w = [c for i, r in enumerate(runs)
-             for c in ((min(A), (-1) ** i * r), _letter(rng, g, T))]
-    V = range(g.n)
-    u, v = ([_letter(rng, g, V) for _ in range(rng.randint(0, 3))]
-            for _ in range(2))
-    return e, NormalWord(g, u + w + v)
+        images = [(frozenset(s.perm[v] for v in A),
+                   frozenset(s.perm[v] for v in B))
+                  for s in enum_labelled_graph_autos(g)]
+        e = Evaluator(g, A | B, (A, B), Code("A", Z123), averaged=True)
+        m, ts = e.terms()
+        assert m == images.count((A, B))
+        assert m * len(ts) == len(images)
+        assert {t.partition for t in ts} == set(images)
+        assert all(t.cone == t.partition[0] | t.partition[1] for t in ts)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,4 @@
-"""Commutator predicates, defect estimation, and the scl lower bound."""
+"""Defect estimation and the scl lower bound."""
 
 from fractions import Fraction
 
@@ -6,9 +6,8 @@ import pytest
 
 from qmgraph.evaluators import Code, Evaluator, build, evaluate
 from qmgraph.graphs import GraphError, expand, parse_graph
-from qmgraph.scl import (EQUAL, FINITE_INDEX, HEURISTIC, NO_CLAIM, RIGOROUS,
-                         DefectEstimate, commutator_conditions,
-                         estimate_defect, scl_aut_lower_bound)
+from qmgraph.scl import (HEURISTIC, RIGOROUS, DefectEstimate, estimate_defect,
+                         scl_aut_lower_bound)
 from qmgraph.words import NormalWord, parse_word
 
 from conftest import edgeless, ngon
@@ -23,16 +22,6 @@ def z5z3_eval(homog=(16, 4)):
 
 WITNESS = ("v0^4 v1 v0^2 v1 v0^2 v1 v0^3 v1 v0 v1 v0 v1 "
            "v0^3 v1 v0 v1 v0 v1 v0^2 v1 v0^2 v1 v0^2 v1")
-
-
-def test_commutator_conditions():
-    assert commutator_conditions(ngon(5, "Z/3")) == EQUAL
-    assert commutator_conditions(ngon(5, "Z/2")) == FINITE_INDEX
-    assert commutator_conditions(ngon(5, "Z")) == FINITE_INDEX
-    assert commutator_conditions(parse_graph("vertex a Z")) == NO_CLAIM
-    # central finite vertex: still finite index
-    assert commutator_conditions(parse_graph(
-        "vertex a Z/2\nvertex b Z/3\nedge a b")) == FINITE_INDEX
 
 
 def test_defect_estimate_validation():
