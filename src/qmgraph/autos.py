@@ -136,9 +136,15 @@ class AutWord:
         return x
 
 
+# the work one search may do: backtracker nodes since the last map found,
+# or cone candidates; past it the search raises GraphError (exit code 3)
+SEARCH_BUDGET = 1 << 16
+
+
 def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
                           Y: Iterable[int],
-                          fixed: Iterable[tuple[int, int]] = ()
+                          fixed: Iterable[tuple[int, int]] = (),
+                          meter: Optional[list[int]] = None
                           ) -> Iterator[tuple[int, ...]]:
     """Label-preserving isomorphisms of the induced subgraphs on X and Y.
 
@@ -148,7 +154,9 @@ def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
     order, then the rest of sorted(X), each tried against sorted(Y) in
     order; with nothing fixed the tuples come in lexicographic order.
     Candidates whose label or degree in the induced subgraph differs are
-    pruned.
+    pruned.  Each search node spends one unit of meter[0] (a fresh
+    SEARCH_BUDGET unless shared), each map found refills it, and an empty
+    meter raises GraphError.
     """
     fixed = dict(fixed)
     xs, ys = sorted(X), sorted(Y)
@@ -167,43 +175,44 @@ def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
     adj = g.adj
     image = [-1] * n  # image[i]: the image of xs[i]
     used = [False] * n  # by position in ys
+    meter = meter or [SEARCH_BUDGET]
 
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
+    def extend(i: int, placed: int = 0) -> Iterator[tuple[int, ...]]:
+        meter[0] -= 1
+        if meter[0] < 0:
+            raise GraphError(f"search budget exceeded (automorphism search: "
+                             f"{SEARCH_BUDGET} nodes)")
         if i == n:
+            meter[0] = SEARCH_BUDGET
             yield tuple(map(image.__getitem__, out))
             return
         key, av = xkey[i], adj[xs[i]]
+        nbr_images = sum(1 << image[k] for k in range(i) if av >> xs[k] & 1)
         for j in cands[i]:
             if used[j] or ykey[j] != key:
                 continue
             t = ys[j]
-            at = adj[t]
-            if any((av >> xs[k] ^ at >> image[k]) & 1 for k in range(i)):
+            if adj[t] & placed != nbr_images:
                 continue
             image[i] = t
             used[j] = True
-            yield from extend(i + 1)
+            yield from extend(i + 1, placed | 1 << t)
             used[j] = False
         image[i] = -1
 
     yield from extend(0)
 
 
-# the backtracker can visit up to n! partial maps
-VERTEX_CAP = 16
-
-
 def _check_searchable(g: LabeledGraph) -> None:
     if not g.is_expanded():
         raise GraphError("enumeration is defined on expanded graphs")
-    if g.n > VERTEX_CAP:
-        raise GraphError(f"vertex bound exceeded ({g.n} > {VERTEX_CAP})")
 
 
 def enum_labelled_graph_autos(g: LabeledGraph) -> list[LabelledGraphAut]:
     """All label-preserving graph automorphisms, by backtracking.
 
-    Deterministic order: lexicographic in the image tuple.
+    Deterministic order: lexicographic in the image tuple.  Not capped in
+    output, but SEARCH_BUDGET nodes with no new automorphism raise.
     """
     _check_searchable(g)
     V = range(g.n)
@@ -289,11 +298,15 @@ def labelled_aut_group(g: LabeledGraph) -> AutGroup:
     is the product of the level orbit sizes, and the automorphisms found
     generate Aut (orbit-stabiliser; Seress, Permutation Group Algorithms,
     2003).  At most n^2/2 searches, each stopping at its first hit,
-    against |Aut| leaves for a listing.
+    against |Aut| leaves for a listing.  The searches share one meter of
+    SEARCH_BUDGET nodes, refilled at each automorphism found, and raise
+    GraphError when it runs out: graphs that colour refinement cannot
+    split, such as random cubic graphs, can need exponentially many.
     """
     _check_searchable(g)
     V = range(g.n)
     colour = _refined_colours(g)
+    meter = [SEARCH_BUDGET]
     order, gens = 1, []
     for i in V:
         prefix = [(v, v) for v in range(i)]
@@ -304,8 +317,8 @@ def labelled_aut_group(g: LabeledGraph) -> AutGroup:
             if (t in orbit or colour[t] != colour[i]
                     or (g.adj[t] ^ g.adj[i]) & prefix_mask):
                 continue
-            sigma = next(labelled_isomorphisms(g, V, V, prefix + [(i, t)]),
-                         None)
+            sigma = next(labelled_isomorphisms(
+                g, V, V, prefix + [(i, t)], meter), None)
             if sigma is not None:
                 level.append(sigma)
                 orbit = _transversal(g.n, level, i, tuple.__getitem__)

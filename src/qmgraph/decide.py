@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from . import evaluators as ev
-from .autos import labelled_aut_group
+from .autos import SEARCH_BUDGET, labelled_aut_group
 from .evaluators import _single_z, _single_z2
 from .graphs import (GraphError, LabeledGraph, TauClassification,
                      component_masks, connected_components, expand,
@@ -307,21 +307,18 @@ def _raag_abelian_classes(g: LabeledGraph,
 
 # -- invariant lower cones (sufficient condition) ----------------------------
 
-# The cone search tests all 2^m subsets of the m ~_tau classes, each as a
-# few operations on vertex bitmasks; only the pairs decide tries become
-# vertex sets.  Enumerating just the orbit-closed down-sets would drop
-# the 2^m factor, and one work budget would replace this cap.
-CLASS_CAP = 20
-
-
 def _cone_masks(g: LabeledGraph) -> list[tuple[int, list[int]]]:
-    """find_invariant_cones on bitmasks: (cone, component masks) pairs."""
+    """find_invariant_cones on bitmasks: (cone, component masks) pairs.
+
+    Tests all 2^m subsets of the m ~_tau classes, each as a few operations
+    on vertex bitmasks, and refuses more than SEARCH_BUDGET of them."""
     if not g.is_expanded():
         raise GraphError("find_invariant_cones requires an expanded graph")
     tc = g.tau_classification
     m = len(tc.classes)
-    if m > CLASS_CAP:
-        raise GraphError("too many ~_tau classes to enumerate cones")
+    if 1 << m > SEARCH_BUDGET:
+        raise GraphError(f"search budget exceeded (cone search: 2^{m} "
+                         f"candidates > {SEARCH_BUDGET})")
     n = g.n
     below = tc.below
     class_mask = [vertex_mask(g, c) for c in tc.classes]

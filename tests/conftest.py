@@ -4,11 +4,13 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, strategies as st
 
-from qmgraph.autos import enum_labelled_graph_autos
-from qmgraph.evaluators import Code, Evaluator, SumBothSides, WeightedZ
+from qmgraph.autos import enum_labelled_graph_autos, valid_aut0_gens
+from qmgraph.decide import EXISTS_CONSTRUCTIVE, decide
+from qmgraph.evaluators import (Code, Evaluator, SumBothSides, WeightedZ,
+                                average, build)
 from qmgraph.graphs import (connected_components, expand, is_lower_cone,
                             parse_graph)
-from qmgraph.words import NormalWord
+from qmgraph.words import NormalWord, random_word
 
 
 def ngon(n, label):
@@ -52,6 +54,19 @@ def cube(label):
                                         for i, j in pairs))
 
 
+def cubic_graph_text(n, seed):
+    """A seeded random cubic graph on v0..v{n-1}, every label Z/3, drawn
+    by the pairing model; colour refinement cannot split it."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return ("".join(f"vertex v{i} Z/3\n" for i in range(n))
+                    + "".join(f"edge v{a} v{b}\n" for a, b in sorted(edges)))
+
+
 def figure1_raag():
     """Two degree-3 vertices v0, v4 joined through v1, v2, v3; all Z."""
     text = "\n".join(f"vertex v{i} Z" for i in range(5)) + "\n"
@@ -76,6 +91,36 @@ def brute_force_stabilizer_count(g, cone, partition):
         pB = frozenset(sigma.perm[v] for v in B)
         count += pA | pB == cone and {pA, pB} == {A, B}
     return count
+
+
+def constructive_pool():
+    """Five constructive graphs with averaged evaluators and generators."""
+    pool = []
+    for graph, npairs in [(edgeless(["Z/5", "Z/3"]), 60),
+                          (path_graph(["Z/2", "Z/4", "Z/3"]), 40),
+                          (b_graph(4, "Z/2"), 40),
+                          (ngon(5, "Z/2"), 30),
+                          (lambda_raag(), 30)]:
+        v = decide(graph)
+        assert v.status == EXISTS_CONSTRUCTIVE
+        g = v.graph
+        spec = v.witness
+        a = average(build(g, spec.cone, spec.partition, spec.kind,
+                          homog_params=(10, 2)))
+        gens = list(valid_aut0_gens(g)) + list(enum_labelled_graph_autos(g))
+        pool.append((g, a, gens, npairs))
+    return pool
+
+
+def aut_invariance_cases(pool):
+    """The (averaged evaluator, word, generator) triples of acceptance
+    criterion 06, in its seeded order."""
+    rng = random.Random(20260826)
+    for g, a, gens, npairs in pool:
+        for _ in range(npairs):
+            gen = rng.choice(gens)
+            yield a, random_word(g, rng.randrange(2, 5),
+                                 seed=rng.randrange(10**6)), gen
 
 
 LABELS = ["Z", "Z/2", "Z/3", "Z/4"]

@@ -7,8 +7,7 @@ components are the set versions of the same era, so it shares no mask
 routine with the search it checks.
 """
 
-from qmgraph.autos import labelled_aut_group
-from qmgraph.decide import CLASS_CAP
+from qmgraph.autos import SEARCH_BUDGET, labelled_aut_group
 from qmgraph.evaluators import _single_z, _single_z2
 from qmgraph.graphs import GraphError
 
@@ -36,8 +35,9 @@ def find_invariant_cones(g):
         raise GraphError("find_invariant_cones requires an expanded graph")
     tc = g.tau_classification
     m = len(tc.classes)
-    if m > CLASS_CAP:
-        raise GraphError("too many ~_tau classes to enumerate cones")
+    if 2 ** m > SEARCH_BUDGET:
+        raise GraphError(f"search budget exceeded (cone search: 2^{m} "
+                         f"candidates > {SEARCH_BUDGET})")
     orbit_of = None
     out = []
     for bits in range(1, 1 << m):

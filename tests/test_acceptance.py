@@ -11,13 +11,11 @@ from itertools import product
 
 import pytest
 
-from qmgraph.autos import (apply_gen, enum_labelled_graph_autos,
-                           valid_aut0_gens)
+from qmgraph.autos import apply_gen
 from qmgraph.cli import corpus_dir, run_examples
 from qmgraph.codes import (code, code_qm, count_disjoint, homogenise,
                            is_generic, weighted_z_code)
-from qmgraph.decide import (EXISTS_CONSTRUCTIVE, Verdict, WitnessSpec, decide,
-                            witness)
+from qmgraph.decide import EXISTS_CONSTRUCTIVE, Verdict, WitnessSpec, witness
 from qmgraph.evaluators import (Code, Evaluator, SumBothSides, average, build,
                                 evaluate)
 from qmgraph.graphs import expand, parse_graph, tau_classes
@@ -25,9 +23,10 @@ from qmgraph.scl import (HEURISTIC, RIGOROUS, DefectEstimate, estimate_defect,
                          scl_aut_lower_bound)
 from qmgraph.words import NormalWord, parse_word, random_word
 
-from conftest import (CLOSURE_CASES, b_graph, brute_force_stabilizer_count,
-                      closure_canonical, closure_words, edgeless, figure1_raag,
-                      lambda_raag, ngon, path_graph)
+from conftest import (CLOSURE_CASES, aut_invariance_cases,
+                      brute_force_stabilizer_count, closure_canonical,
+                      closure_words, constructive_pool, figure1_raag,
+                      lambda_raag, ngon)
 
 WITNESS = ("a^4 b a^2 b a^2 b a^3 b a b a b a^3 b a b a b "
            "a^2 b a^2 b a^2 b")
@@ -120,45 +119,22 @@ def test_criterion_05_verdict_table():
     report(5, ok, f"{len(lines) - 1} corpus verdicts, {bad} mismatches")
 
 
-def _constructive_pool():
-    """Five constructive graphs with averaged evaluators and generators."""
-    pool = []
-    for graph, npairs in [(edgeless(["Z/5", "Z/3"]), 60),
-                          (path_graph(["Z/2", "Z/4", "Z/3"]), 40),
-                          (b_graph(4, "Z/2"), 40),
-                          (ngon(5, "Z/2"), 30),
-                          (lambda_raag(), 30)]:
-        v = decide(graph)
-        assert v.status == EXISTS_CONSTRUCTIVE
-        g = v.graph
-        spec = v.witness
-        a = average(build(g, spec.cone, spec.partition, spec.kind,
-                          homog_params=(10, 2)))
-        gens = list(valid_aut0_gens(g)) + list(enum_labelled_graph_autos(g))
-        pool.append((g, a, gens, npairs))
-    return pool
-
-
-POOL = _constructive_pool()
+POOL = constructive_pool()
 
 
 def test_criterion_06_aut_invariance():
-    rng = random.Random(20260826)
     pairs = skipped = 0
     families = set()
     ok = True
-    for g, a, gens, npairs in POOL:
-        for _ in range(npairs):
-            gen = rng.choice(gens)
-            x = random_word(g, rng.randrange(2, 5), seed=rng.randrange(10**6))
-            vx = evaluate(a, x)
-            vy = evaluate(a, apply_gen(gen, x))
-            pairs += 1
-            if not (vx.exact and vy.exact):
-                skipped += 1
-                continue
-            ok &= vx.value == vy.value
-            families.add(type(gen).__name__)
+    for a, x, gen in aut_invariance_cases(POOL):
+        vx = evaluate(a, x)
+        vy = evaluate(a, apply_gen(gen, x))
+        pairs += 1
+        if not (vx.exact and vy.exact):
+            skipped += 1
+            continue
+        ok &= vx.value == vy.value
+        families.add(type(gen).__name__)
     ok &= pairs >= 200 and skipped < 0.05 * pairs and len(families) == 4
     report(6, ok, f"{pairs} pairs, {skipped} skipped, "
                   f"families={sorted(families)}")

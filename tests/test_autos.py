@@ -1,6 +1,7 @@
 """Automorphism generators: validation, action, and enumeration."""
 
 import itertools
+import math
 import random
 import time
 
@@ -13,10 +14,11 @@ from qmgraph.autos import (AutError, AutWord, FactorAut, LabelledGraphAut,
                            labelled_isomorphisms, random_aut0,
                            valid_aut0_gens, validate_gen)
 from qmgraph.evaluators import labeled_isomorphic
-from qmgraph.graphs import expand, parse_graph, tau_classes
+from qmgraph.graphs import GraphError, expand, parse_graph, tau_classes
 from qmgraph.words import NormalWord, parse_word, random_word
 
-from conftest import edgeless, figure1_raag, ngon, path_graph
+from conftest import (cubic_graph_text, edgeless, figure1_raag, ngon,
+                      path_graph)
 
 
 def brute_force_lgas(g):
@@ -74,13 +76,42 @@ def test_labelled_isomorphisms_match_brute_force():
                                       frozenset(ys)) == bool(want)
 
 
-def test_lga_enumeration_vertex_bound():
-    g = expand(edgeless(["Z/2"] * 17))
-    from qmgraph.graphs import GraphError
-    with pytest.raises(GraphError, match=r"vertex bound exceeded \(17 > 16\)"):
-        enum_labelled_graph_autos(g)
-    with pytest.raises(GraphError, match=r"vertex bound exceeded \(17 > 16\)"):
-        labelled_aut_group(g)
+def test_lga_search_budget_refills_at_each_map(monkeypatch):
+    # no vertex cap: 17 vertices are searched like any other
+    assert (labelled_aut_group(expand(edgeless(["Z/2"] * 17))).order
+            == math.factorial(17))
+    path17 = expand(path_graph(["Z/2"] * 17))
+    assert [a.perm for a in enum_labelled_graph_autos(path17)] == [
+        tuple(range(17)), tuple(range(16, -1, -1))]
+    # on five free vertices the first map takes 6 nodes and each next one
+    # at most 5, so a budget of 6 lists all 5! maps, about e * 5! nodes in
+    # all, and a budget of 5 finds none
+    five = expand(edgeless(["Z/2"] * 5))
+    monkeypatch.setattr("qmgraph.autos.SEARCH_BUDGET", 6)
+    assert len(enum_labelled_graph_autos(five)) == 120
+    assert labelled_aut_group(five).order == 120
+    monkeypatch.setattr("qmgraph.autos.SEARCH_BUDGET", 5)
+    for search in (enum_labelled_graph_autos, labelled_aut_group):
+        with pytest.raises(GraphError, match=r"^search budget exceeded "
+                           r"\(automorphism search: 5 nodes\)$"):
+            search(five)
+
+
+def test_search_budget_stops_hard_graphs():
+    # colour refinement cannot split these graphs.  At n=16 the group
+    # searches spend about 20k nodes in all.  At n=18 and 20 no single
+    # search needs 2^16 nodes, but the shared meter runs out.  (Seed 0 at
+    # n=18 spends 63k nodes and returns |Aut| = 1.)
+    for seed, order in ((0, 1), (1, 2)):
+        g = expand(parse_graph(cubic_graph_text(16, seed)))
+        assert labelled_aut_group(g).order == order
+    for n, seed in ((18, 1), (20, 0), (24, 0)):
+        g = expand(parse_graph(cubic_graph_text(n, seed)))
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match=r"^search budget exceeded "
+                           r"\(automorphism search: 65536 nodes\)$"):
+            labelled_aut_group(g)
+        assert time.perf_counter() - start < 10
 
 
 def test_aut_group_matches_brute_force():

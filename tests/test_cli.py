@@ -11,6 +11,8 @@ import pytest
 from qmgraph import autos, cli, decide, evaluators, graphs
 from qmgraph.cli import corpus_dir, main, run_examples
 
+from conftest import cubic_graph_text
+
 Z5Z3 = "vertex v0 Z/5\nvertex v1 Z/3\n"
 WITNESS_WORD = ("v0^4 v1 v0^2 v1 v0^2 v1 v0^3 v1 v0 v1 v0 v1 "
                 "v0^3 v1 v0 v1 v0 v1 v0^2 v1 v0^2 v1 v0^2 v1")
@@ -120,8 +122,8 @@ def test_autos_lists_a_star_in_lexicographic_order(capsys, tmp_path):
 
 
 def test_autos_refuses_a_group_too_large_to_list(capsys, tmp_path):
-    # K_{1,15} passes the vertex bound; its 15! automorphisms would take
-    # hours to list, so the group order is checked first
+    # the group search of K_{1,15} stays far inside the budget; its 15!
+    # automorphisms would take hours to list, so the order is read first
     star15 = _star(tmp_path, 15)
     start = time.perf_counter()
     code, out, err = run(capsys, "autos", star15)
@@ -367,21 +369,35 @@ def _star(tmp_path, k):
                   + [f"edge c l{i}" for i in range(k)])
 
 
-def test_size_caps_are_exit_3(capsys, tmp_path):
+def test_search_budget_is_exit_3(capsys, tmp_path):
+    # past 16 vertices the searches run, within the budget
     path17 = _write(tmp_path, "path17.graph",
                     [f"vertex v{i} Z/2" for i in range(17)]
                     + [f"edge v{i} v{i + 1}" for i in range(16)])
-    for command in ("autos", "cones"):
-        code, _, err = run(capsys, command, path17)
-        assert code == 3, command
-        assert err == "error: vertex bound exceeded (17 > 16)\n"
+    code, out, _ = run(capsys, "autos", path17)
+    assert (code, len(out.splitlines())) == (0, 2)
     free17 = _write(tmp_path, "free17.graph",
                     ["vertex a Z/5", "vertex b Z/3"]
                     + [f"vertex v{i} Z/2" for i in range(15)])
-    code, _, err = run(capsys, "eval", free17, "--avg", "--word", "a",
+    code, out, _ = run(capsys, "eval", free17, "--avg", "--word",
+                       WITNESS_WORD.replace("v0", "a").replace("v1", "b"),
                        "--cone", "a,b", "--partA", "a", "--partB", "b")
+    # the 15! automorphisms all fix a and b, each adding the value 1
+    assert (code, out) == (0, f"value={math.factorial(15)} exact=True\n")
+    # the path's 17 ~_tau classes are 2^17 cone candidates
+    code, _, err = run(capsys, "cones", path17)
     assert code == 3
-    assert err == "error: vertex bound exceeded (17 > 16)\n"
+    assert err == ("error: search budget exceeded (cone search: 2^17 "
+                   "candidates > 65536)\n")
+    # a cubic graph that colour refinement cannot split
+    cubic20 = tmp_path / "cubic20.graph"
+    cubic20.write_text(cubic_graph_text(20, 0))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "autos", str(cubic20))
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert err == ("error: search budget exceeded (automorphism search: "
+                   "65536 nodes)\n")
 
 
 def test_huge_orders_factor_or_fail_fast(capsys, tmp_path, monkeypatch):
@@ -445,14 +461,17 @@ def test_eval_avg_on_a_large_star_sums_over_the_pair_orbit(
 
 
 def test_witness_on_too_many_classes_is_exit_3(capsys, tmp_path):
-    mixed21 = _write(tmp_path, "mixed21.graph",
+    # the mixed path on 17 vertices has 17 ~_tau classes, so its cone
+    # search has 2^17 candidates, one class past the budget
+    mixed17 = _write(tmp_path, "mixed17.graph",
                      [f"vertex v{i} {'Z' if i % 2 == 0 else 'Z/2'}"
-                      for i in range(21)]
-                     + [f"edge v{i} v{i + 1}" for i in range(20)])
+                      for i in range(17)]
+                     + [f"edge v{i} v{i + 1}" for i in range(16)])
     for command in ("decide", "witness"):
-        code, _, err = run(capsys, command, mixed21)
+        code, _, err = run(capsys, command, mixed17)
         assert code == 3, command
-        assert err == "error: too many ~_tau classes to enumerate cones\n"
+        assert err == ("error: search budget exceeded (cone search: 2^17 "
+                       "candidates > 65536)\n")
 
 
 # -- corpus runner ------------------------------------------------------------

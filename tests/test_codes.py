@@ -1,5 +1,6 @@
 """Codes, pattern counting, genericity, and homogenisation."""
 
+import random
 from fractions import Fraction
 from importlib import resources
 from itertools import groupby, product
@@ -9,17 +10,20 @@ from hypothesis import example, given, settings, strategies as st
 
 import codes_reference as two_pass
 import homog_reference
+from qmgraph.autos import apply_gen
 from qmgraph.codes import (HomogValue, code, code_qm, count_disjoint,
                            homogenise, is_generic, weighted_code_qm,
                            weighted_z_code)
 from qmgraph.decide import EXISTS_CONSTRUCTIVE, decide, witness
 from qmgraph.evaluators import (Code, Evaluator, SumBothSides, WeightedZ,
-                                build)
+                                build, evaluate)
 from qmgraph.graphs import expand, parse_graph
+from qmgraph.scl import _cone_word
 from qmgraph.words import (NormalWord, WordError, parse_word, random_word,
                            retraction, syllable_letters)
 
-from conftest import averaged_cases, edgeless, lambda_raag, ngon
+from conftest import (aut_invariance_cases, averaged_cases,
+                      constructive_pool, edgeless, lambda_raag, ngon)
 
 
 @pytest.fixture
@@ -245,12 +249,12 @@ def _assert_scan_matches_reference(e, w):
     return want
 
 
-def _pinned_inexact_case():
+def _pinned_inexact_case(g=None, params=(3, 1)):
     """The scan of test_homogenise_inexact_reports_bound, as an evaluator."""
-    g = expand(ngon(5, "Z/2"))
+    g = g or expand(ngon(5, "Z/2"))
     e = Evaluator(g, frozenset({0, 2, 3}), (frozenset({0}),
                                            frozenset({2, 3})),
-                  Code("B", (1, 2, 3)), homog_params=(3, 1))
+                  Code("B", (1, 2, 3)), homog_params=params)
     x = parse_word(g, "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
                       "v3 v0 v3 v0 v3 v0 v2")
     return e, x
@@ -276,6 +280,52 @@ def test_homogenise_matches_cyclic_reduction(case, k, seed):
     y = random_word(e.graph, 4, seed=seed)
     for word in (x, x ** k, x.inverse(), x.conjugate_by(y)):
         _assert_scan_matches_reference(e, retraction(word, e.cone))
+
+
+@settings(max_examples=60, deadline=None)
+@given(averaged_cases(), st.integers(0, 2 ** 32))
+def test_homogenise_matches_cyclic_reduction_on_products(case, seed):
+    """Products g h as estimate_defect draws them, from pairs of cone words
+    and of uniform words, and with x, which realises z, as a factor."""
+    e, x = case
+    rng = random.Random(seed)
+    for _ in range(2):
+        c = _cone_word(e, rng, 8)
+        pairs = [(_cone_word(e, rng, 8), _cone_word(e, rng, 8)),
+                 tuple(random_word(e.graph, rng.randrange(1, 9),
+                                   seed=rng.randrange(1 << 30))
+                       for _ in "gh"),
+                 (x, c), (c, x), (x, x.conjugate_by(c))]
+        for g, h in pairs:
+            for word in (g, h, g * h):
+                _assert_scan_matches_reference(e, retraction(word, e.cone))
+
+
+def test_homogenise_matches_cyclic_reduction_on_criterion_06():
+    """Every term of every evaluation in acceptance criterion 06, and the
+    averaged value wherever its scan is exact."""
+    for a, x, gen in aut_invariance_cases(constructive_pool()):
+        size, terms = a.terms()
+        for word in (x, apply_gen(gen, x)):
+            want = size * sum(
+                _assert_scan_matches_reference(t, retraction(word, t.cone))
+                for t in terms)
+            got = evaluate(a, word)
+            assert not got.exact or got.value == want, word.letters
+
+
+@pytest.mark.parametrize("params,exact", [((3, 1), False), ((2, 1), False),
+                                          ((2, 2), False), ((4, 1), True),
+                                          ((64, 8), True)])
+def test_cli_inexact_case_matches_cyclic_reduction(params, exact):
+    """The eval word of test_cli's inexact cases on the corpus n-gon, at
+    each --max-n and --max-period pinned there."""
+    g = expand(parse_graph(
+        (resources.files("qmgraph") / "corpus" / "ngon_5_z2.graph")
+        .read_text()))
+    e, x = _pinned_inexact_case(g, params)
+    assert homogenise(e.base, x, *params).exact == exact
+    assert _assert_scan_matches_reference(e, x) == 0
 
 
 def _witness_graphs():

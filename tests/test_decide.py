@@ -1,5 +1,6 @@
 """Decision procedure: verdict table, witnesses, and invariant cones."""
 
+import math
 import random
 from importlib import resources
 
@@ -10,7 +11,7 @@ from qmgraph.decide import (ABELIAN, EXISTS_CONSTRUCTIVE,
                             EXISTS_NONCONSTRUCTIVE, FINITE, PROVABLY_NONE,
                             UNKNOWN, Verdict, WitnessSpec, decide,
                             find_invariant_cones, witness)
-from qmgraph.evaluators import Code, WeightedZ, build, evaluate
+from qmgraph.evaluators import Code, WeightedZ, average, build, evaluate
 from qmgraph.graphs import GraphError, expand, parse_graph
 from qmgraph.words import NormalWord
 
@@ -271,6 +272,35 @@ def test_witness_supported_in_cone():
     v = decide(ngon(5, "Z/2"))
     x = witness(ngon(5, "Z/2"), v)
     assert x.support() <= v.witness.cone
+
+
+def _averaged_witness_value(graph, v):
+    spec = v.witness
+    e = average(build(v.graph, spec.cone, spec.partition, spec.kind))
+    return evaluate(e, witness(graph, v))
+
+
+@pytest.mark.parametrize("n", (17, 24, 32))
+def test_family_sweep_past_sixteen_vertices(n):
+    for label in ("Z/2", "Z/3"):
+        v = decide(ngon(n, label))
+        assert v.status == EXISTS_CONSTRUCTIVE, label
+        # neither the verdict nor the averaged witness value moves with n
+        got = _averaged_witness_value(ngon(n, label), v)
+        assert got.exact and got.value == 2, (label, got)
+    assert decide(ngon(n, "Z")).status == EXISTS_NONCONSTRUCTIVE
+
+
+@pytest.mark.parametrize("k", (9, 12, 15))
+def test_family_sweep_stars(k):
+    star = parse_graph("vertex c Z\n" + "".join(
+        f"vertex l{i} Z/3\nedge c l{i}\n" for i in range(k)))
+    v = decide(star)
+    assert v.status == EXISTS_CONSTRUCTIVE
+    # (k - 2)! automorphisms fix the witness pair of leaves, and it and
+    # its swap each add 1
+    got = _averaged_witness_value(star, v)
+    assert got.exact and got.value == 2 * math.factorial(k - 2)
 
 
 def test_manual_constructive_verdict_witness():
