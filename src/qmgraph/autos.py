@@ -222,21 +222,15 @@ def enum_labelled_graph_autos(g: LabeledGraph) -> list[LabelledGraphAut]:
 Perm = tuple[int, ...]
 
 
-def _transversal(n: int, gens: Sequence[Perm], point, act) -> dict:
-    """The orbit of `point` under the group the permutations `gens` of
-    range(n) generate, where act(s, p) is the image of p under s: a dict
-    from each image to one group element sending `point` there, listed
-    in breadth-first order from `point` (sent there by the identity)."""
-    reps = {point: tuple(range(n))}
-    todo = [point]
+def _close(orbit: set[int], todo: list[int], gens: Sequence[Perm]) -> None:
+    """Add to `orbit` every image of the points in `todo` (already in the
+    orbit) under the group the permutations `gens` generate."""
     for p in todo:
-        rho = reps[p]
         for s in gens:
-            q = act(s, p)
-            if q not in reps:
-                reps[q] = tuple(s[v] for v in rho)  # s after rho
+            q = s[p]
+            if q not in orbit:
+                orbit.add(q)
                 todo.append(q)
-    return reps
 
 
 @dataclass(frozen=True)
@@ -254,19 +248,33 @@ class AutGroup:
         out = []
         for v in range(self.n):
             if v not in seen:
-                orbit = frozenset(_transversal(self.n, self.gens, v,
-                                               tuple.__getitem__))
+                orbit = {v}
+                _close(orbit, [v], self.gens)
                 seen |= orbit
-                out.append(orbit)
+                out.append(frozenset(orbit))
         return out
 
     def pair_orbit(self, A: frozenset[int], B: frozenset[int]
                    ) -> dict[tuple[frozenset[int], frozenset[int]], Perm]:
         """The orbit of the ordered pair (A, B): each image (rho A, rho B)
-        with one automorphism rho that sends (A, B) there."""
-        return _transversal(
-            self.n, self.gens, (frozenset(A), frozenset(B)),
-            lambda s, p: tuple(frozenset(s[v] for v in S) for S in p))
+        with one automorphism rho that sends (A, B) there: (A, B) with the
+        identity first, then breadth first.  Images are keyed by their two
+        vertex masks, so the search costs |orbit| * |gens| mask images of
+        |A| + |B| bits and one composition per image, and each frozenset
+        pair is built once."""
+        A, B = list(A), list(B)
+        rho = tuple(range(self.n))
+        seen = {(sum(1 << v for v in A), sum(1 << v for v in B))}
+        todo = [rho]
+        for rho in todo:
+            rA, rB = [rho[v] for v in A], [rho[v] for v in B]
+            for s in self.gens:
+                key = (sum(1 << s[v] for v in rA), sum(1 << s[v] for v in rB))
+                if key not in seen:
+                    seen.add(key)
+                    todo.append(tuple(s[v] for v in rho))  # s after rho
+        return {(frozenset(rho[v] for v in A), frozenset(rho[v] for v in B)):
+                rho for rho in todo}
 
 
 def _refined_colours(g: LabeledGraph) -> list[int]:
@@ -288,31 +296,40 @@ def _refined_colours(g: LabeledGraph) -> list[int]:
 def labelled_aut_group(g: LabeledGraph) -> AutGroup:
     """Aut of g by its stabiliser chain, found by searching, not listing.
 
-    Level i is the subgroup fixing vertices 0..i-1.  The orbit of vertex
-    i under it is grown from the automorphisms found so far at that
-    level; each vertex t it has not reached yet costs one backtracking
-    search for an automorphism that fixes 0..i-1 and sends i to t
-    (individualisation and extension, McKay & Piperno, Practical graph
-    isomorphism II, 2014), unless t differs from i in refined colour or
-    in adjacency to 0..i-1, which rules such an automorphism out.  |Aut|
-    is the product of the level orbit sizes, and the automorphisms found
-    generate Aut (orbit-stabiliser; Seress, Permutation Group Algorithms,
-    2003).  At most n^2/2 searches, each stopping at its first hit,
-    against |Aut| leaves for a listing.  The searches share one meter of
-    SEARCH_BUDGET nodes, refilled at each automorphism found, and raise
-    GraphError when it runs out: graphs that colour refinement cannot
-    split, such as random cubic graphs, can need exponentially many.
+    Level i is the subgroup G_i fixing vertices 0..i-1.  The levels are
+    built deepest first, i = n-1 down to 0 (Seress, Permutation Group
+    Algorithms, 2003), so the automorphisms found at the deeper levels
+    j > i, which fix 0..i and generate G_{i+1}, are known at level i.
+    The orbit of vertex i under G_i is grown from i by every automorphism
+    found so far, and extended from the new points whenever one more is
+    found.  Each vertex t > i it has not reached yet costs one
+    backtracking search for an automorphism that fixes 0..i-1 and sends
+    i to t (individualisation and extension, McKay & Piperno, Practical
+    graph isomorphism II, 2014), unless t differs from i in refined
+    colour or in adjacency to 0..i-1, which rules such an automorphism
+    out.  |Aut| is the product of the level orbit sizes, and the
+    automorphisms found generate Aut (orbit-stabiliser).
+
+    Each automorphism found sends i to a point outside the orbit of i
+    under those found before, so it joins two of their orbits on the
+    vertices: there are at most n - 1 generators (k - 1 for S_k on the
+    leaves of a star, against k(k-1)/2 when each level is built alone),
+    and a level's orbit work is |orbit| * |gens|.  At most n^2/2
+    searches, each stopping at its first hit, against |Aut| leaves for a
+    listing.  The searches share one meter of SEARCH_BUDGET nodes,
+    refilled at each automorphism found, and raise GraphError when it
+    runs out: graphs that colour refinement cannot split, such as random
+    cubic graphs, can need exponentially many.
     """
     _check_searchable(g)
     V = range(g.n)
     colour = _refined_colours(g)
     meter = [SEARCH_BUDGET]
     order, gens = 1, []
-    for i in V:
+    for i in reversed(V):
         prefix = [(v, v) for v in range(i)]
         prefix_mask = (1 << i) - 1
-        level: list[Perm] = []
-        orbit = {i}
+        orbit = {i}  # the maps found so far all fix i
         for t in range(i + 1, g.n):
             if (t in orbit or colour[t] != colour[i]
                     or (g.adj[t] ^ g.adj[i]) & prefix_mask):
@@ -320,10 +337,11 @@ def labelled_aut_group(g: LabeledGraph) -> AutGroup:
             sigma = next(labelled_isomorphisms(
                 g, V, V, prefix + [(i, t)], meter), None)
             if sigma is not None:
-                level.append(sigma)
-                orbit = _transversal(g.n, level, i, tuple.__getitem__)
+                gens.append(sigma)
+                todo = [sigma[p] for p in orbit if sigma[p] not in orbit]
+                orbit.update(todo)
+                _close(orbit, todo, gens)
         order *= len(orbit)
-        gens += level
     return AutGroup(g.n, order, tuple(gens))
 
 

@@ -7,6 +7,8 @@ differential tests in test_autos.py.
 - The list `valid_aut0_gens` and the `random_aut0` that drew from it,
   used before the factor automorphisms were kept implicit: one
   FactorAut per unit of each cyclic order, found by gcd.
+- The `AutGroup.pair_orbit` that searched on pairs of frozensets, used
+  before images were keyed by their vertex masks.
 """
 
 import math
@@ -81,3 +83,15 @@ def random_aut0(g, length, seed):
         return AutWord()
     rng = random.Random(seed)
     return AutWord(tuple(rng.choice(pool) for _ in range(length)))
+
+
+def pair_orbit(group, A, B):
+    reps = {(frozenset(A), frozenset(B)): tuple(range(group.n))}
+    todo = list(reps)
+    for p in todo:
+        for s in group.gens:
+            q = tuple(frozenset(s[v] for v in S) for S in p)
+            if q not in reps:
+                reps[q] = tuple(s[v] for v in reps[p])
+                todo.append(q)
+    return reps

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import autos_reference as letterwise
+from autos_reference import pair_orbit as frozenset_pair_orbit
 from qmgraph.autos import (AutError, AutWord, FactorAut, LabelledGraphAut,
                            PartialConj, Transvection, apply_gen,
                            enum_labelled_graph_autos, labelled_aut_group,
@@ -101,7 +102,8 @@ def test_search_budget_stops_hard_graphs():
     # colour refinement cannot split these graphs.  At n=16 the group
     # searches spend about 20k nodes in all.  At n=18 and 20 no single
     # search needs 2^16 nodes, but the shared meter runs out.  (Seed 0 at
-    # n=18 spends 63k nodes and returns |Aut| = 1.)
+    # n=18 spends 63k nodes and returns |Aut| = 1: on a rigid graph every
+    # search fails, so the level order does not change the count.)
     for seed, order in ((0, 1), (1, 2)):
         g = expand(parse_graph(cubic_graph_text(16, seed)))
         assert labelled_aut_group(g).order == order
@@ -139,6 +141,116 @@ def test_aut_group_matches_brute_force():
         for (pA, pB), rho in reps.items():
             assert rho in perms
             assert (image(rho, A), image(rho, B)) == (pA, pB)
+
+
+def _graph(n, adjacent):
+    """v0..v{n-1}, every label Z/2, with the edges adjacent(i, j)."""
+    return expand(parse_graph(
+        "".join(f"vertex v{i} Z/2\n" for i in range(n))
+        + "".join(f"edge v{i} v{j}\n" for i in range(n)
+                  for j in range(i + 1, n) if adjacent(i, j))))
+
+
+def _star(k):
+    """K_{1,k}: a Z centre c and k Z/3 leaves l0..l{k-1}."""
+    return expand(parse_graph(
+        "vertex c Z\n" + "".join(f"vertex l{i} Z/3\n" for i in range(k))
+        + "".join(f"edge c l{i}\n" for i in range(k))))
+
+
+@pytest.mark.parametrize("k", [7, 15, 30])
+def test_star_group_has_k_minus_1_generators(k):
+    """The levels are searched deepest first, so S_k on the leaves needs
+    one new generator per level, not one per pair of leaves."""
+    g = _star(k)
+    group = labelled_aut_group(g)
+    assert group.order == math.factorial(k)
+    assert len(group.gens) <= k - 1
+    A, B = frozenset({1}), frozenset({2})
+    reps = group.pair_orbit(A, B)
+    assert len(reps) == k * (k - 1)
+    for (pA, pB), rho in reps.items():
+        assert validate_gen(g, LabelledGraphAut(rho))[0]
+        assert ({rho[v] for v in A}, {rho[v] for v in B}) == (pA, pB)
+
+
+_PAIRS5 = list(itertools.combinations(range(5), 2))
+
+
+@pytest.mark.parametrize("n,adjacent,order", [
+    # Petersen: the 2-subsets of 5 points, adjacent when disjoint
+    (10, lambda i, j: not set(_PAIRS5[i]) & set(_PAIRS5[j]), 120),
+    (13, lambda i, j: (j - i) % 13 in {1, 3, 4, 9, 10, 12}, 78),  # Paley(13)
+    (16, lambda i, j: i // 4 == j // 4 or i % 4 == j % 4, 1152),  # 4x4 rook
+    # Shrikhande: Z/4 x Z/4, steps +-(0, 1), +-(1, 0), +-(1, 1)
+    (16, lambda i, j: ((j // 4 - i // 4) % 4, (j - i) % 4) in
+     {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}, 192),
+    # Clebsch: (Z/2)^4, steps of weight 1 and 1111
+    (16, lambda i, j: bin(i ^ j).count("1") in (1, 4), 1920),
+], ids=["petersen", "paley13", "rook4x4", "shrikhande", "clebsch"])
+def test_aut_group_of_strongly_regular_graphs(n, adjacent, order):
+    """Colour refinement cannot split these graphs: each is regular and
+    every label is Z/2.  Each group is vertex-transitive."""
+    group = labelled_aut_group(_graph(n, adjacent))
+    assert group.order == order
+    assert group.vertex_orbits() == [frozenset(range(n))]
+
+
+def _twin_blowup(rng):
+    """A seeded graph of 9 to 24 vertices: a random base graph whose
+    vertices are blown up into modules of 1 to 3 twins, in a shuffled
+    vertex order, so that its group is a product of symmetric groups
+    and the base graph's symmetries."""
+    sizes = [rng.randint(1, 3)]
+    while sum(sizes) < 9 or (rng.random() < 0.7 and sum(sizes) < 22):
+        sizes.append(rng.randint(1, 3))
+    m = len(sizes)
+    base = {(a, b) for a in range(m) for b in range(a, m)
+            if rng.random() < 0.4}
+    labels = [rng.choice(["Z", "Z/2", "Z/3"]) for _ in range(m)]
+    owner = [a for a in range(m) for _ in range(sizes[a])]
+    rng.shuffle(owner)
+    n = len(owner)
+    return parse_graph(
+        "".join(f"vertex v{i} {labels[owner[i]]}\n" for i in range(n))
+        + "".join(f"edge v{i} v{j}\n" for i in range(n)
+                  for j in range(i + 1, n)
+                  if (min(owner[i], owner[j]), max(owner[i], owner[j]))
+                  in base))
+
+
+def _grid(r, c):
+    """The r x c grid, every label Z/2."""
+    return _graph(r * c, lambda i, j: j - i == c or (j - i == 1 and j % c))
+
+
+def _pair_orbit_graphs():
+    rng = random.Random(17)
+    for _ in range(40):
+        yield expand(_twin_blowup(rng))
+    for n in (9, 16, 24):
+        yield expand(ngon(n, "Z/2"))
+    yield _star(9)
+    for r, c in ((3, 3), (3, 5), (4, 4)):
+        yield _grid(r, c)
+
+
+def test_pair_orbit_matches_frozenset_search():
+    """The orbit of side pairs of several vertices, past the 8 vertices a
+    brute force reaches, against the search on frozenset pairs."""
+    rng = random.Random(19)
+    for g in _pair_orbit_graphs():
+        group = labelled_aut_group(g)
+        for _ in range(3):
+            A = frozenset(rng.sample(range(g.n), rng.randint(2, 4)))
+            B = frozenset(rng.sample(sorted(set(range(g.n)) - A),
+                                     rng.randint(1, 4)))
+            reps = group.pair_orbit(A, B)
+            assert set(reps) == set(frozenset_pair_orbit(group, A, B))
+            assert next(iter(reps.items())) == ((A, B), tuple(range(g.n)))
+            for (pA, pB), rho in reps.items():
+                assert validate_gen(g, LabelledGraphAut(rho))[0]
+                assert ({rho[v] for v in A}, {rho[v] for v in B}) == (pA, pB)
 
 
 def test_lga_preserves_tau_classes():

@@ -427,13 +427,11 @@ def test_huge_orders_factor_or_fail_fast(capsys, tmp_path, monkeypatch):
                    "rho steps\n")
 
 
-def test_eval_avg_on_a_large_star_sums_over_the_pair_orbit(
-        capsys, tmp_path, monkeypatch):
-    """K_{1,9} has 9! = 362880 automorphisms but the side pair (l0, l1)
-    only 72 images: eval --avg takes one term per image, moves the side
-    pair instead of the word, so it applies no automorphism to a word,
-    and never lists the group."""
-    star9 = _star(tmp_path, 9)
+def _eval_avg_on_star(capsys, tmp_path, monkeypatch, k):
+    """eval --avg of the sum evaluator on the leaf pair (l0, l1) of
+    K_{1,k}, refusing to list the group; returns the exit code, the output
+    and the generators applied to words."""
+    star = _star(tmp_path, k)
     applied = []
 
     def counted(gen, x, apply=autos.apply_gen):
@@ -450,13 +448,34 @@ def test_eval_avg_on_a_large_star_sums_over_the_pair_orbit(
                             raising=False)
     word = ("l0 l1 l0^2 l1 l0^2 l1 l0 l1 l0 l1 l0 l1 l0^2 l1 l0^2 l1 "
             "l0^2 l1 l0^2 l1")
-    code, out, _ = run(capsys, "eval", star9, "--avg", "--kind", "sum",
+    code, out, _ = run(capsys, "eval", star, "--avg", "--kind", "sum",
                        "--cone", "l0,l1", "--partA", "l0", "--partB", "l1",
                        "--word", word)
+    return code, out, applied
+
+
+def test_eval_avg_on_a_large_star_sums_over_the_pair_orbit(
+        capsys, tmp_path, monkeypatch):
+    """K_{1,9} has 9! = 362880 automorphisms but the side pair (l0, l1)
+    only 72 images: eval --avg takes one term per image, moves the side
+    pair instead of the word, so it applies no automorphism to a word,
+    and never lists the group."""
+    code, out, applied = _eval_avg_on_star(capsys, tmp_path, monkeypatch, 9)
     assert code == 0
     # 7! automorphisms fix l0 and l1; the images (l0, l1) and (l1, l0)
     # each add the unaveraged value 1
     assert out == "value=10080 exact=True\n"
+    assert applied == []
+
+
+def test_eval_avg_on_k_1_30_sums_over_870_images(capsys, tmp_path,
+                                                  monkeypatch):
+    """K_{1,30}: 30! automorphisms, 870 images of (l0, l1), and 28! of
+    the automorphisms fix both, so the value is 2 * 28!."""
+    code, out, applied = _eval_avg_on_star(capsys, tmp_path, monkeypatch,
+                                           30)
+    assert code == 0
+    assert out == "value=609776689223427721003008000000 exact=True\n"
     assert applied == []
 
 
