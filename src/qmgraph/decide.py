@@ -7,7 +7,7 @@ partition, evaluator kind) that the evaluator module accepts as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -18,7 +18,7 @@ from .evaluators import _single_z, _single_z2
 from .graphs import (GraphError, LabeledGraph, TauClassification,
                      component_masks, connected_components, expand,
                      is_lower_cone, lower_cone_L, lower_cone_mask,
-                     mask_vertices, vertex_mask, FREE)
+                     mask_vertices, tau_classes, vertex_mask, FREE)
 from .words import NormalWord
 
 FINITE = "Finite"
@@ -112,14 +112,17 @@ def _first_spec(g: LabeledGraph, pairs: Iterable[tuple], trace: list[str],
 
 def _classes_in(g: LabeledGraph, X: frozenset[int]
                 ) -> tuple[TauClassification, list[frozenset[int]]]:
-    """The ~_tau classification of the graph induced on X, its classes
-    mapped back to g's vertex indices, and its minimal classes in
-    lexicographic order."""
-    idxs = sorted(X)
-    tc = g.induced(X).tau_classification
-    tc = replace(tc, classes=tuple(frozenset(idxs[v] for v in c)
-                                   for c in tc.classes))
+    """The ~_tau classification of the graph g induces on X, read on
+    adjacency masks cut to X with its classes in g's vertex indices, and
+    its minimal classes in lexicographic order."""
+    tc = tau_classes(g, X)
     return tc, _sorted_sets(tc.classes[i] for i in tc.minimal_classes())
+
+
+def _full_stars(g: LabeledGraph, X: frozenset[int]) -> list[int]:
+    """The vertices of X, in increasing order, whose star contains X."""
+    xmask = vertex_mask(g, X)
+    return [v for v in sorted(X) if (g.adj[v] | 1 << v) & xmask == xmask]
 
 
 def _claim_pairs(g: LabeledGraph, factors) -> Iterator[tuple]:
@@ -184,8 +187,7 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
     X = frozenset(range(g.n))
     zk_sizes: list[int] = []
     while X:
-        xmask = sum(1 << v for v in X)
-        full = [v for v in sorted(X) if (g.adj[v] | 1 << v) & xmask == xmask]
+        full = _full_stars(g, X)
         if len(full) == len(X):
             trace.append(f"{_names(g, X)} is complete: finite abelian factor")
             break
@@ -278,7 +280,7 @@ def _raag_abelian_classes(g: LabeledGraph,
     trace.append("every ~_tau class is free abelian")
     X = frozenset(range(g.n))
     pairs: list[tuple] = []
-    while X and not g.induced(X).is_complete():
+    while X and len(_full_stars(g, X)) < len(X):  # X not complete
         tc, mins = _classes_in(g, X)
         progressed = False
         for M in mins:
@@ -412,16 +414,16 @@ def decide(graph: LabeledGraph) -> Verdict:
 
 # -- witness words ------------------------------------------------------------
 
-def _run_values(g: LabeledGraph, S: frozenset[int]) -> tuple[NormalWord,
-                                                             NormalWord]:
-    """Two distinct nontrivial one-letter blocks supported in S."""
+def _run_values(g: LabeledGraph, S: frozenset[int]) -> tuple[tuple[int, int],
+                                                             tuple[int, int]]:
+    """Two letters supported in S that are distinct nontrivial blocks."""
     a = min(S)
     if g.labels[a].order is None or g.labels[a].order > 2:
-        return (NormalWord.letter(g, a, 1), NormalWord.letter(g, a, 2))
+        return (a, 1), (a, 2)
     others = sorted(S - {a})
     if not others:
         raise GraphError("side cannot produce two distinct blocks")
-    return (NormalWord.letter(g, a, 1), NormalWord.letter(g, others[0], 1))
+    return (a, 1), (others[0], 1)
 
 
 def witness(graph: LabeledGraph, verdict: Verdict) -> NormalWord:
@@ -429,7 +431,9 @@ def witness(graph: LabeledGraph, verdict: Verdict) -> NormalWord:
 
     The word realises the generic pattern z exactly once per period in the
     relevant code while its inverse's code avoids z entirely, so the
-    homogenised value is exactly 1.
+    homogenised value is exactly 1.  Its letters are collected first and
+    normalised once: pushing them one at a time onto one normal word
+    gives the same normal form as multiplying block by block.
     """
     if verdict.status != EXISTS_CONSTRUCTIVE or verdict.witness is None:
         raise GraphError("witness requires an ExistsConstructive verdict")
@@ -440,23 +444,17 @@ def witness(graph: LabeledGraph, verdict: Verdict) -> NormalWord:
     z = list(kind.z)
     if len(z) % 2 == 1:
         z = z + [max(z) + 1]
+    letters = []
     if isinstance(kind, ev.WeightedZ):
-        a = min(A)
-        t = NormalWord.letter(g, min(B), 1)
-        w = NormalWord.identity(g)
-        sign = 1
-        for run in z:
-            w = w * NormalWord.letter(g, a, sign * run) * t
-            sign = -sign
-        return w
-    S = A if (isinstance(kind, ev.SumBothSides) or kind.side == "A") else B
-    T = B if S is A else A
-    X, Y = _run_values(g, S)
-    t = NormalWord.letter(g, min(T), 1)
-    w = NormalWord.identity(g)
-    block = X
-    for run in z:
-        for _ in range(run):
-            w = w * block * t
-        block = Y if block is X else X
-    return w
+        a, t = min(A), (min(B), 1)
+        for i, run in enumerate(z):
+            letters += [(a, (-1) ** i * run), t]
+    else:
+        S = A if (isinstance(kind, ev.SumBothSides)
+                  or kind.side == "A") else B
+        T = B if S is A else A
+        blocks = _run_values(g, S)
+        t = (min(T), 1)
+        for i, run in enumerate(z):
+            letters += [blocks[i % 2], t] * run
+    return NormalWord(g, letters)

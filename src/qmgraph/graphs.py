@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -156,22 +156,18 @@ class LabeledGraph:
             raise GraphError("duplicate vertex id")
         self.names: tuple[str, ...] = tuple(names)
         self.labels: tuple[VertexGroupSpec, ...] = tuple(s for _, s in vertices)
-        self.index = {v: i for i, v in enumerate(names)}
+        self.index = index = {v: i for i, v in enumerate(names)}
         n = len(names)
         adj = [0] * n
-        eset = set()
         for a, b in edges:
-            if a not in self.index or b not in self.index:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise GraphError(f"undefined endpoint in edge {a} {b}")
-            if a == b:
+            if i == j:
                 raise GraphError(f"self-loop at {a}")
-            i, j = self.index[a], self.index[b]
-            eset.add((min(i, j), max(i, j)))
-        for i, j in eset:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.adj: tuple[int, ...] = tuple(adj)
-        self.edges: frozenset[tuple[int, int]] = frozenset(eset)
         self.n = n
         self.full_mask = (1 << n) - 1
 
@@ -208,21 +204,20 @@ class LabeledGraph:
     def is_expanded(self) -> bool:
         return all(s.is_infinite or s.is_primary for s in self.labels)
 
-    def induced(self, X: Iterable[int]) -> "LabeledGraph":
-        idxs = sorted(set(X))
-        verts = [(self.names[i], self.labels[i]) for i in idxs]
-        edges = [(self.names[i], self.names[j]) for i in idxs for j in idxs
-                 if i < j and self.adjacent(i, j)]
-        return LabeledGraph(verts, edges)
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as index pairs (i, j) with i < j."""
+        return frozenset((i, j) for i in range(self.n)
+                         for j in _bits(self.adj[i] >> i + 1 << i + 1))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LabeledGraph)
                 and self.names == other.names
                 and self.labels == other.labels
-                and self.edges == other.edges)
+                and self.adj == other.adj)
 
     def __hash__(self):
-        return hash((self.names, self.labels, self.edges))
+        return hash((self.names, self.labels, self.adj))
 
     def __repr__(self):
         return f"LabeledGraph({self.n} vertices, {len(self.edges)} edges)"
@@ -236,24 +231,10 @@ class LabeledGraph:
         v <=_tau w when v = w, when v has infinite order and
         lk(v) is contained in st(w), or when v and w have finite orders
         that are powers of the same prime and st(v) is contained in
-        st(w).  Built on first use; the graph is immutable.
+        st(w).  It is the preorder tau_classes reads (see _tau_up) at the
+        full vertex mask, built on first use; the graph is immutable.
         """
-        if not self.is_expanded():
-            raise GraphError("<=_tau requires an expanded graph")
-        stars = [self.adj[v] | 1 << v for v in range(self.n)]
-        down = []
-        for w, gw in enumerate(self.labels):
-            mask = 1 << w
-            for v, gv in enumerate(self.labels):
-                if gv.is_infinite:
-                    below = self.adj[v] & ~stars[w] == 0
-                else:
-                    below = (gv.prime == gw.prime
-                             and stars[v] & ~stars[w] == 0)
-                if below:
-                    mask |= 1 << v
-            down.append(mask)
-        return tuple(down)
+        return tuple(_transpose(_tau_up(self, self.full_mask), self.n))
 
     @cached_property
     def tau_classification(self) -> "TauClassification":
@@ -375,56 +356,106 @@ class TauClassification:
         return [i for i, b in enumerate(self.below) if b == 1 << i]
 
 
-def tau_classes(g: LabeledGraph) -> TauClassification:
-    """~_tau classes, the induced order, and each class's group type."""
-    n = g.n
-    down = g.tau_down
-    assigned = [-1] * n
-    classes: list[frozenset[int]] = []
-    for v in range(n):
-        if assigned[v] >= 0:
-            continue
-        cls = frozenset(w for w in range(n)
-                        if down[w] >> v & 1 and down[v] >> w & 1)
-        for w in cls:
-            assigned[w] = len(classes)
-        classes.append(cls)
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _tau_up(g: LabeledGraph, xmask: int) -> list[int]:
+    """up[v] for v in the vertex mask: the bitmask of every w in it with
+    v <=_tau w in the graph g induces on it (0 outside the mask).
+
+    Stars and links are cut to the mask, st_X(v) = st(v) & X and
+    lk_X(v) = lk(v) & X.  Adjacency is symmetric, so lk_X(v) lies in
+    st_X(w) exactly when w lies in st(u) for every u in lk_X(v): the
+    w above v are one AND over the neighbours of v."""
+    adj, labels = g.adj, g.labels
+    same_prime: dict[Optional[int], int] = {}  # None: infinite cyclic
+    for v in _bits(xmask):
+        p = labels[v].prime
+        if p is None and labels[v].order is not None:
+            raise GraphError("<=_tau requires an expanded graph")
+        same_prime[p] = same_prime.get(p, 0) | 1 << v
+    up = [0] * g.n
+    for v in _bits(xmask):
+        link = adj[v] & xmask
+        above = xmask  # the w with lk_X(v) in st_X(w)
+        for u in _bits(link):
+            above &= adj[u] | 1 << u
+        p = labels[v].prime
+        # finite v: st_X(v) in st_X(w), and w of the same prime
+        up[v] = above if p is None else above & (link | 1 << v) & same_prime[p]
+    return up
+
+
+def _transpose(rows: list[int], n: int) -> list[int]:
+    """The transpose of an n x n bit matrix: bit v of column w is bit w
+    of row v."""
+    cols = [0] * n
+    for v, row in enumerate(rows):
+        bit = 1 << v
+        for w in _bits(row):
+            cols[w] |= bit
+    return cols
+
+
+def tau_classes(g: LabeledGraph,
+                X: Optional[Iterable[int]] = None) -> TauClassification:
+    """~_tau classes, the induced order, and each class's group type, of
+    g or, given X, of the graph g induces on X.
+
+    The preorder is read on adjacency bitmasks cut to X (see _tau_up), so
+    no induced graph is built; classes are vertex sets in g's indices,
+    ordered by least vertex."""
+    xmask = g.full_mask if X is None else vertex_mask(g, X)
+    up = _tau_up(g, xmask)
+    down = _transpose(up, g.n)
+    adj = g.adj
+    masks: list[int] = []
+    classes: list[list[int]] = []
+    class_of = [0] * g.n
+    rest = xmask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        cls = up[v] & down[v]
+        rest ^= cls
+        members = list(_bits(cls))
+        for w in members:
+            class_of[w] = len(classes)
+        masks.append(cls)
+        classes.append(members)
     # Class-level domination uses star containment uniformly: between
     # finite-order vertices that is leq_tau itself, and between classes
     # containing infinite-order vertices it is the star-preserving part of
     # the transvection preorder (the part labelled graph automorphisms and
-    # the peeling machinery act through).  The relation needs no
-    # transitive closure: vertex by vertex it is transitive, the members
-    # of a finite or free abelian class have equal stars, and nothing
-    # outside a free class of two or more vertices lies strongly below it.
-    stars = [g.adj[v] | 1 << v for v in range(n)]
+    # the peeling machinery act through).  Either way the v strongly below
+    # w are down[w] & st_X(w).  The relation needs no transitive closure:
+    # vertex by vertex it is transitive, the members of a finite or free
+    # abelian class have equal stars, and nothing outside a free class of
+    # two or more vertices lies strongly below it.
     below = []
-    for j, c in enumerate(classes):
-        bits = 1 << j
-        for w in c:
-            for v in range(n):
-                if g.labels[v].is_infinite:
-                    strong = stars[v] & ~stars[w] == 0
-                else:
-                    strong = down[w] >> v & 1
-                if strong:
-                    bits |= 1 << assigned[v]
-        below.append(bits)
     types = []
-    for c in classes:
-        members = sorted(c)
-        finite = not g.labels[members[0]].is_infinite
-        complete = all(g.adjacent(a, b) for a in members for b in members if a < b)
-        edgeless = not any(g.adjacent(a, b) for a in members for b in members if a < b)
-        if finite:
+    for cls, members in zip(masks, classes):
+        strong = 0
+        for w in members:
+            strong |= down[w] & (adj[w] | 1 << w)
+        bits = 0
+        for v in _bits(strong):
+            bits |= 1 << class_of[v]
+        below.append(bits)
+        if g.labels[members[0]].prime is not None:
             types.append((FINITE_ABELIAN, len(members)))
-        elif complete:
+        elif all((adj[a] | 1 << a) & cls == cls for a in members):
             types.append((FREE_ABELIAN, len(members)))
-        elif edgeless:
+        elif all(adj[a] & cls == 0 for a in members):
             types.append((FREE, len(members)))
         else:
             raise GraphError("tau class neither complete nor edgeless")
-    return TauClassification(tuple(classes), tuple(below), tuple(types))
+    return TauClassification(tuple(map(frozenset, classes)), tuple(below),
+                             tuple(types))
 
 
 def vertex_mask(g: LabeledGraph, X: Iterable[int]) -> int:
@@ -439,12 +470,7 @@ def vertex_mask(g: LabeledGraph, X: Iterable[int]) -> int:
 
 def mask_vertices(mask: int) -> frozenset[int]:
     """The vertex set of a bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return frozenset(_bits(mask))
 
 
 def lower_cone_mask(g: LabeledGraph, mask: int) -> bool:

@@ -78,6 +78,23 @@ def test_cones_full_output(capsys, tmp_path):
     assert (code, out) == (0, "{v0,v4} = {v0} * {v4}\n")
 
 
+def test_expand_and_classes_on_corpus_are_pinned(capsys):
+    # recorded before graphs were built from index lookups and classes
+    # read on vertex masks; both outputs must stay byte for byte
+    out = []
+    for name in sorted(os.listdir(corpus_dir())):
+        if name.endswith(".graph"):
+            for cmd in ("expand", "classes"):
+                code, text, _ = run(capsys, cmd,
+                                    os.path.join(corpus_dir(), name))
+                assert code == 0
+                out.append(f"== {cmd} {name}\n{text}")
+    pinned = os.path.join(os.path.dirname(__file__), "data",
+                          "corpus_expand_classes.txt")
+    with open(pinned) as fh:
+        assert "".join(out) == fh.read()
+
+
 def test_decide_plain_and_trace(capsys, z5z3_file):
     code, out, _ = run(capsys, "decide", z5z3_file)
     assert code == 0

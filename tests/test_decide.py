@@ -95,9 +95,9 @@ def test_figure1_raag_classifies_the_graph_once(monkeypatch):
     seen = []
     classify = qmgraph.graphs.tau_classes
 
-    def counting(g):
+    def counting(g, *args):
         seen.append(g)
-        return classify(g)
+        return classify(g, *args)
 
     # decide may hold the function by name as well as through graphs
     monkeypatch.setattr(qmgraph.graphs, "tau_classes", counting)
@@ -289,6 +289,28 @@ def test_family_sweep_past_sixteen_vertices(n):
         got = _averaged_witness_value(ngon(n, label), v)
         assert got.exact and got.value == 2, (label, got)
     assert decide(ngon(n, "Z")).status == EXISTS_NONCONSTRUCTIVE
+
+
+def _finite_families(n):
+    """B_n, paths and n-gons with finite labels, on about n vertices."""
+    for label in ("Z/2", "Z/3"):
+        yield f"b_{label}", b_graph(n, label)
+        yield f"path_{label}", path_graph([label] * n)
+    yield "path_z2_z3", path_graph((["Z/2", "Z/3"] * n)[:n])
+    for label in ("Z/4", "Z/6"):
+        yield f"ngon_{label}", ngon(n, label)
+
+
+@pytest.mark.parametrize("n", (5, 8, 17, 32, 64))
+def test_family_sweep_finite_families_to_64_vertices(n):
+    # the verdict at the corpus sizes 5 and 8 holds to 64 vertices
+    for name, graph in _finite_families(n):
+        v = decide(graph)
+        assert v.status == EXISTS_CONSTRUCTIVE, name
+        spec = v.witness
+        e = build(v.graph, spec.cone, spec.partition, spec.kind)
+        got = evaluate(e, witness(graph, v))
+        assert got.exact and got.value == 1, (name, got)
 
 
 @pytest.mark.parametrize("k", (9, 12, 15))

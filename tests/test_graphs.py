@@ -9,7 +9,7 @@ from qmgraph.graphs import (GraphError, LabeledGraph, Z, _prime_factors,
                             is_lower_cone, lower_cone_L, parse_graph,
                             primary, tau_classes, FREE, FREE_ABELIAN,
                             FINITE_ABELIAN)
-import graphs_reference as pairwise
+import graphs_reference as reference
 from conftest import figure1_raag, lambda_raag, ngon, path_graph
 
 
@@ -45,6 +45,34 @@ def test_prime_factors_match_trial_division():
                                                       (1_000_000_007, 1)]
     assert _prime_factors(2 ** 100 * (2 ** 61 - 1)) == [(2, 100),
                                                          (2 ** 61 - 1, 1)]
+
+
+def test_construction_ignores_edge_order_and_repeats():
+    verts = [("a", Z), ("b", cyclic(2)), ("c", Z), ("d", cyclic(9))]
+    pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
+    g = LabeledGraph(verts, pairs)
+    # the index pairs (i, j), i < j, that the edge list names
+    assert g.edges == frozenset({(0, 1), (1, 2), (0, 2), (2, 3)})
+    for perm in itertools.permutations(pairs):
+        edges = [(b, a) if k % 2 else (a, b) for k, (a, b) in enumerate(perm)]
+        for h in (LabeledGraph(verts, edges),
+                  LabeledGraph(verts, edges + edges[::-1])):
+            assert h.edges == g.edges
+            assert h == g and hash(h) == hash(g)
+    assert LabeledGraph(verts, pairs[:3]) != g
+    assert LabeledGraph(verts[::-1], pairs) != g
+
+
+def test_construction_errors():
+    verts = [("a", Z), ("b", cyclic(2))]
+    with pytest.raises(GraphError, match="^undefined endpoint in edge a x$"):
+        LabeledGraph(verts, [("a", "b"), ("a", "x")])
+    with pytest.raises(GraphError, match="^undefined endpoint in edge x b$"):
+        LabeledGraph(verts, [("x", "b")])
+    with pytest.raises(GraphError, match="^self-loop at b$"):
+        LabeledGraph(verts, [("a", "b"), ("b", "b")])
+    with pytest.raises(GraphError, match="^duplicate vertex id$"):
+        LabeledGraph(verts + [("a", Z)], [])
 
 
 def test_parse_errors():
@@ -165,18 +193,27 @@ def test_tau_requires_expanded():
 LABELS = ["Z", "Z/2", "Z/3", "Z/4", "Z/6"]
 
 
+def _expanded_size(label):
+    return 1 if label == "Z" else len(_prime_factors(int(label[2:])))
+
+
 @st.composite
-def expanded_graphs(draw):
-    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=7))
-    # Z/6 expands to two vertices; keep the expanded graph at <= 7
-    while sum(2 if lab == "Z/6" else 1 for lab in labels) > 7:
-        labels.pop()
-    n = len(labels)
+def raw_graphs(draw, labels=LABELS, max_n=7):
+    """A graph, not expanded, whose expansion has at most max_n vertices."""
+    labs = draw(st.lists(st.sampled_from(labels), min_size=1,
+                         max_size=max_n))
+    while sum(map(_expanded_size, labs)) > max_n:
+        labs.pop()
+    n = len(labs)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [p for p in pairs if draw(st.booleans())]
-    text = "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labels))
+    text = "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labs))
     text += "".join(f"edge v{i} v{j}\n" for i, j in edges)
-    return expand(parse_graph(text))
+    return parse_graph(text)
+
+
+def expanded_graphs():
+    return raw_graphs().map(expand)
 
 
 def reference_leq_tau(g, v, w):
@@ -252,7 +289,36 @@ def test_connected_components_match_previous_version(g, data):
     X = data.draw(st.sets(st.integers(0, g.n - 1)))
     for S in (X, range(g.n)):
         assert connected_components(g, S) == \
-            pairwise.connected_components(g, S)
+            reference.connected_components(g, S)
+
+
+# -- the mask classification against the induced-graph one -------------------
+
+TAU_LABELS = ["Z", "Z/2", "Z/3", "Z/4", "Z/9", "Z/6", "Z/12", "Z/18"]
+
+
+def _or_error(f, *args):
+    try:
+        return f(*args)
+    except GraphError as exc:
+        return "GraphError", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_graphs(TAU_LABELS, 10), st.data())
+def test_mask_classification_matches_induced_graph_version(raw, data):
+    # the unexpanded graph checks that both raise the same "requires an
+    # expanded graph" error, and that a set X avoiding the composite
+    # vertices classifies on both
+    for g in (raw, expand(raw)):
+        assert (_or_error(lambda: g.tau_down)
+                == _or_error(reference.tau_down, g))
+        assert (_or_error(tau_classes, g)
+                == _or_error(reference.tau_classes, g))
+        X = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        for S in (X, frozenset(range(g.n))):
+            assert (_or_error(tau_classes, g, S)
+                    == _or_error(reference.classes_in, g, S))
 
 
 def test_tau_table_checks_indices_and_expansion():
