@@ -112,10 +112,10 @@ def _first_spec(g: LabeledGraph, pairs: Iterable[tuple], trace: list[str],
 
 def _classes_in(g: LabeledGraph, X: frozenset[int]
                 ) -> tuple[TauClassification, list[frozenset[int]]]:
-    """The ~_tau classification of the graph g induces on X, read on
-    adjacency masks cut to X with its classes in g's vertex indices, and
-    its minimal classes in lexicographic order."""
-    tc = tau_classes(g, X)
+    """The ~_tau classification of the graph g induces on X (g's own at
+    X = V), read on adjacency masks cut to X with its classes in g's
+    vertex indices, and its minimal classes in lexicographic order."""
+    tc = g.tau_classification if len(X) == g.n else tau_classes(g, X)
     return tc, _sorted_sets(tc.classes[i] for i in tc.minimal_classes())
 
 
@@ -193,7 +193,7 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
             break
         tc, mins = _classes_in(g, X)
         if full:
-            M = tc.classes[tc.class_of(full[0])]
+            M = next(c for c in tc.classes if full[0] in c)
             trace.append(f"full-star class {_names(g, M)} peeled as a "
                          "finite abelian direct factor")
             X = X - M

@@ -123,10 +123,6 @@ class VertexGroupSpec:
     def is_infinite(self) -> bool:
         return self.order is None
 
-    @property
-    def is_primary(self) -> bool:
-        return self.prime is not None
-
     def __str__(self) -> str:
         return "Z" if self.order is None else f"Z/{self.order}"
 
@@ -151,14 +147,11 @@ class LabeledGraph:
 
     def __init__(self, vertices: Sequence[tuple[str, VertexGroupSpec]],
                  edges: Iterable[tuple[str, str]]):
-        names = [v for v, _ in vertices]
-        if len(set(names)) != len(names):
+        names = tuple(v for v, _ in vertices)
+        index = {v: i for i, v in enumerate(names)}
+        if len(index) != len(names):
             raise GraphError("duplicate vertex id")
-        self.names: tuple[str, ...] = tuple(names)
-        self.labels: tuple[VertexGroupSpec, ...] = tuple(s for _, s in vertices)
-        self.index = index = {v: i for i, v in enumerate(names)}
-        n = len(names)
-        adj = [0] * n
+        adj = [0] * len(names)
         for a, b in edges:
             i, j = index.get(a), index.get(b)
             if i is None or j is None:
@@ -167,9 +160,16 @@ class LabeledGraph:
                 raise GraphError(f"self-loop at {a}")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        self.adj: tuple[int, ...] = tuple(adj)
-        self.n = n
-        self.full_mask = (1 << n) - 1
+        self._store(names, tuple(s for _, s in vertices), index, tuple(adj))
+
+    def _store(self, names: tuple[str, ...],
+               labels: tuple[VertexGroupSpec, ...], index: dict[str, int],
+               adj: tuple[int, ...]) -> "LabeledGraph":
+        """Set the graph's checked parts; every constructor ends here."""
+        self.names, self.labels, self.index = names, labels, index
+        self.adj, self.n = adj, len(names)
+        self.full_mask = (1 << self.n) - 1
+        return self
 
     # -- basic structure ---------------------------------------------------
 
@@ -187,12 +187,9 @@ class LabeledGraph:
     def names_of(self, idxs: Iterable[int]) -> list[str]:
         return [self.names[i] for i in sorted(idxs)]
 
-    def link(self, i: int) -> frozenset[int]:
-        self._check(i)
-        return frozenset(j for j in range(self.n) if self.adj[i] >> j & 1)
-
     def star(self, i: int) -> frozenset[int]:
-        return self.link(i) | {i}
+        self._check(i)
+        return frozenset(_bits(self.adj[i] | 1 << i))
 
     def _check(self, i: int):
         if not 0 <= i < self.n:
@@ -202,7 +199,7 @@ class LabeledGraph:
         return all(self.adj[i] | (1 << i) == self.full_mask for i in range(self.n))
 
     def is_expanded(self) -> bool:
-        return all(s.is_infinite or s.is_primary for s in self.labels)
+        return all(s.is_infinite or s.prime is not None for s in self.labels)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -232,13 +229,13 @@ class LabeledGraph:
         lk(v) is contained in st(w), or when v and w have finite orders
         that are powers of the same prime and st(v) is contained in
         st(w).  It is the preorder tau_classes reads (see _tau_up) at the
-        full vertex mask, built on first use; the graph is immutable.
+        full vertex mask, built once, on first use; the graph is immutable.
         """
         return tuple(_transpose(_tau_up(self, self.full_mask), self.n))
 
     @cached_property
     def tau_classification(self) -> "TauClassification":
-        """tau_classes(self), built on first use; the graph is immutable."""
+        """tau_classes(self), read off tau_down; the graph is immutable."""
         return tau_classes(self)
 
     def leq_tau(self, v: int, w: int) -> bool:
@@ -252,10 +249,12 @@ class LabeledGraph:
 # -- parsing ---------------------------------------------------------------
 
 def parse_graph(text: str) -> LabeledGraph:
-    """Parse the line-based graph file format."""
-    vertices: list[tuple[str, VertexGroupSpec]] = []
-    seen = set()
-    edges = []
+    """Parse the line-based graph file format in one pass, setting each
+    edge's adjacency bits through the name-to-index dict."""
+    index: dict[str, int] = {}  # in file order: the vertex names
+    labels: list[VertexGroupSpec] = []
+    adj: list[int] = []
+    specs = {"Z": Z}  # label text -> spec, one per distinct label
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -265,35 +264,38 @@ def parse_graph(text: str) -> LabeledGraph:
             name, label = parts[1], parts[2]
             if not _ID_RE.match(name):
                 raise GraphError(f"line {lineno}: bad vertex id {name!r}")
-            if name in seen:
+            if name in index:
                 raise GraphError(f"line {lineno}: duplicate vertex {name}")
-            seen.add(name)
-            if label == "Z":
-                spec = Z
-            elif label.startswith("Z/"):
+            spec = specs.get(label)
+            if spec is None and label.startswith("Z/"):
                 try:
                     n = int(label[2:])
                 except ValueError:
                     raise GraphError(f"line {lineno}: bad label {label!r}") from None
                 if n < 2:
                     raise GraphError(f"line {lineno}: Z/{n} needs n >= 2")
-                spec = cyclic(n)
-            else:
+                spec = specs[label] = cyclic(n)
+            elif spec is None:
                 raise GraphError(f"line {lineno}: bad label {label!r}")
-            vertices.append((name, spec))
+            index[name] = len(labels)
+            labels.append(spec)
+            adj.append(0)
         elif parts[0] == "edge" and len(parts) == 3:
             a, b = parts[1], parts[2]
-            for x in (a, b):
-                if x not in seen:
-                    raise GraphError(f"line {lineno}: undefined endpoint {x}")
-            if a == b:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise GraphError(f"line {lineno}: undefined endpoint "
+                                 f"{a if i is None else b}")
+            if i == j:
                 raise GraphError(f"line {lineno}: self-loop at {a}")
-            edges.append((a, b))
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
         else:
             raise GraphError(f"line {lineno}: syntax error: {raw!r}")
-    if not vertices:
+    if not index:
         raise GraphError("graph has no vertices")
-    return LabeledGraph(vertices, edges)
+    return LabeledGraph.__new__(LabeledGraph)._store(
+        tuple(index), tuple(labels), index, tuple(adj))
 
 
 def expand(g: LabeledGraph) -> LabeledGraph:
@@ -302,32 +304,33 @@ def expand(g: LabeledGraph) -> LabeledGraph:
     New vertex ids are `<old>_p<p>k<k>` when n has several primary factors;
     a vertex whose order is already a prime power keeps its id.  All new
     vertices inherit the old vertex's edges and are mutually adjacent.
+    An expanded graph is returned as it is and each order is factored
+    once; if no label splits, g's names, index and adjacency are shared.
     """
-    vertices: list[tuple[str, VertexGroupSpec]] = []
-    groups: list[list[str]] = []  # replacement ids per old vertex
-    for name, spec in zip(g.names, g.labels):
-        if spec.is_infinite:
-            vertices.append((name, Z))
-            groups.append([name])
-            continue
-        factors = _prime_factors(spec.order)
-        if len(factors) == 1:
-            p, k = factors[0]
-            vertices.append((name, primary(p, k)))
-            groups.append([name])
-        else:
-            ids = []
-            for p, k in factors:
-                nid = f"{name}_p{p}k{k}"
-                vertices.append((nid, primary(p, k)))
-                ids.append(nid)
-            groups.append(ids)
-    edges = []
-    for ids in groups:
-        edges.extend((a, b) for i, a in enumerate(ids) for b in ids[i + 1:])
-    for i, j in g.edges:
-        edges.extend((a, b) for a in groups[i] for b in groups[j])
-    return LabeledGraph(vertices, edges)
+    if g.is_expanded():
+        return g
+    factors = {n: [primary(p, k) for p, k in _prime_factors(n)]
+               for n in dict.fromkeys(s.order for s in g.labels) if n}
+    parts = [factors[s.order] if s.order else [s] for s in g.labels]
+    labels = tuple(s for specs in parts for s in specs)
+    if len(labels) == g.n:  # no label splits
+        return LabeledGraph.__new__(LabeledGraph)._store(g.names, labels,
+                                                         g.index, g.adj)
+    names = tuple(name if len(specs) == 1 else f"{name}_p{s.prime}k{s.power}"
+                  for name, specs in zip(g.names, parts) for s in specs)
+    groups, end = [], 0  # the mask of each old vertex's replacements
+    for specs in parts:
+        groups.append((1 << end + len(specs)) - (1 << end))
+        end += len(specs)
+    index = {v: i for i, v in enumerate(names)}
+    if len(index) != len(names):
+        raise GraphError("duplicate vertex id")
+    # an old vertex's row: its own group and its neighbours' (disjoint)
+    rows = [group + sum(groups[j] for j in _bits(row))
+            for row, group in zip(g.adj, groups)]
+    adj = tuple(row ^ 1 << v for row, group in zip(rows, groups)
+                for v in _bits(group))
+    return LabeledGraph.__new__(LabeledGraph)._store(names, labels, index, adj)
 
 
 # -- tau classes and lower cones -------------------------------------------
@@ -345,12 +348,6 @@ class TauClassification:
     # below[j]: bitmask of the classes i with class i <=_tau class j
     below: tuple[int, ...]
     class_type: tuple[tuple[str, int], ...]  # (kind, rank/size) per class
-
-    def class_of(self, v: int) -> int:
-        for i, c in enumerate(self.classes):
-            if v in c:
-                return i
-        raise GraphError(f"vertex {v} not classified")
 
     def minimal_classes(self) -> list[int]:
         return [i for i, b in enumerate(self.below) if b == 1 << i]
@@ -409,10 +406,12 @@ def tau_classes(g: LabeledGraph,
 
     The preorder is read on adjacency bitmasks cut to X (see _tau_up), so
     no induced graph is built; classes are vertex sets in g's indices,
-    ordered by least vertex."""
+    ordered by least vertex.  X = V gives g.tau_classification."""
     xmask = g.full_mask if X is None else vertex_mask(g, X)
-    up = _tau_up(g, xmask)
-    down = _transpose(up, g.n)
+    if X is not None and xmask == g.full_mask:
+        return g.tau_classification
+    up = _transpose(g.tau_down, g.n) if X is None else _tau_up(g, xmask)
+    down = g.tau_down if X is None else _transpose(up, g.n)
     adj = g.adj
     masks: list[int] = []
     classes: list[list[int]] = []

@@ -2,6 +2,11 @@
 
 - `connected_components`: the pairwise-adjacency search that ran before
   the search on adjacency bitmasks.
+- `expand`: the expansion that rebuilt every graph from name-pair edge
+  lists, factoring each finite order once per vertex.  The library now
+  returns an expanded graph as it is, shares the adjacency when no label
+  splits, and maps the adjacency masks through the old-to-new index map
+  when one does.
 - `tau_down` and `tau_classes`: the per-pair <=_tau loop and the
   classification built on it, and `classes_in`, which classified a
   vertex set by building the induced graph and mapping its classes back
@@ -14,7 +19,8 @@ Each is the oracle of a differential test in test_graphs.py.
 from dataclasses import replace
 
 from qmgraph.graphs import (FINITE_ABELIAN, FREE, FREE_ABELIAN, GraphError,
-                            LabeledGraph, TauClassification)
+                            LabeledGraph, TauClassification, Z,
+                            _prime_factors, primary)
 
 
 def connected_components(g, X):
@@ -34,6 +40,36 @@ def connected_components(g, X):
         comps.append(frozenset(comp))
         remaining -= comp
     return sorted(comps, key=min)
+
+
+def expand(g):
+    """Replace each Z/n vertex by the complete graph on its primary
+    factors, building a new graph from name-pair edge lists."""
+    vertices = []
+    groups = []  # replacement ids per old vertex
+    for name, spec in zip(g.names, g.labels):
+        if spec.is_infinite:
+            vertices.append((name, Z))
+            groups.append([name])
+            continue
+        factors = _prime_factors(spec.order)
+        if len(factors) == 1:
+            p, k = factors[0]
+            vertices.append((name, primary(p, k)))
+            groups.append([name])
+        else:
+            ids = []
+            for p, k in factors:
+                nid = f"{name}_p{p}k{k}"
+                vertices.append((nid, primary(p, k)))
+                ids.append(nid)
+            groups.append(ids)
+    edges = []
+    for ids in groups:
+        edges.extend((a, b) for i, a in enumerate(ids) for b in ids[i + 1:])
+    for i, j in g.edges:
+        edges.extend((a, b) for a in groups[i] for b in groups[j])
+    return LabeledGraph(vertices, edges)
 
 
 def induced(g, X):

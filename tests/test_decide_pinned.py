@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from qmgraph.decide import EXISTS_CONSTRUCTIVE, decide, witness
+from qmgraph.decide import EXISTS_CONSTRUCTIVE, WitnessSpec, decide, witness
+from qmgraph.evaluators import build, evaluate
 from qmgraph.graphs import parse_graph
+from qmgraph.words import NormalWord
 
 from conftest import (b_graph, cube, edgeless, figure1_raag, lambda_raag,
                       ngon, octahedron, path_graph)
@@ -103,6 +105,62 @@ def test_pinned_cases_cover_every_case():
                          [pytest.param(n, g, id=n) for n, g in cases()])
 def test_decide_output_pinned(name, graph):
     assert record(graph) == PINNED[name]
+
+
+def renamed(graph, seed):
+    """The graph under fresh vertex ids, with its vertex lines and its edge
+    lines shuffled and each edge's endpoints in random order, and the map
+    from old ids to new ones."""
+    rng = random.Random(seed)
+    new = [f"u{k}" for k in rng.sample(range(10 * graph.n), graph.n)]
+    rename = dict(zip(graph.names, new))
+    vertices = [f"vertex {rename[v]} {s}"
+                for v, s in zip(graph.names, graph.labels)]
+    edges = [f"edge {rename[graph.names[i]]} {rename[graph.names[j]]}"
+             if rng.random() < 0.5 else
+             f"edge {rename[graph.names[j]]} {rename[graph.names[i]]}"
+             for i, j in sorted(graph.edges)]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return parse_graph("\n".join(vertices + edges)), rename
+
+
+def _expanded_name(rename, name):
+    """The new id of an expanded vertex: the old vertex's new id, with the
+    primary-factor suffix kept."""
+    if name in rename:
+        return rename[name]
+    old, suffix = name.rsplit("_p", 1)
+    return f"{rename[old]}_p{suffix}"
+
+
+def _plain_value(g, spec, word):
+    got = evaluate(build(g, spec.cone, spec.partition, spec.kind,
+                         homog_params=(12, 4)), word)
+    return got.value if got.exact else None
+
+
+@pytest.mark.parametrize("name,graph",
+                         [pytest.param(n, g, id=n) for n, g in cases()])
+def test_decide_ignores_vertex_names_and_order(name, graph):
+    v = decide(graph)
+    assert v.status == PINNED[name]["status"]
+    x = witness(graph, v) if v.status == EXISTS_CONSTRUCTIVE else None
+    for seed in range(2):
+        other, rename = renamed(graph, seed)
+        u = decide(other)
+        assert u.status == v.status, seed
+        if x is None:
+            continue
+        h = u.graph
+        to_h = [h.index[_expanded_name(rename, nm)] for nm in v.graph.names]
+        cone, (A, B) = v.witness.cone, v.witness.partition
+        moved = WitnessSpec(frozenset(to_h[i] for i in cone),
+                            (frozenset(to_h[i] for i in A),
+                             frozenset(to_h[i] for i in B)), v.witness.kind)
+        word = NormalWord(h, [(to_h[i], e) for i, e in x.letters])
+        assert _plain_value(h, moved, word) == 1, seed
+        assert _plain_value(h, u.witness, witness(other, u)) == 1, seed
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmgraph import cli
 from qmgraph.graphs import (GraphError, LabeledGraph, Z, _prime_factors,
                             center_support,
                             connected_components, cyclic, expand,
@@ -75,19 +76,28 @@ def test_construction_errors():
         LabeledGraph(verts + [("a", Z)], [])
 
 
+PARSE_ERRORS = [
+    ("vertex a Z\nvertex a Z", "line 2: duplicate vertex a"),
+    ("vertex a Z\nedge a b", "line 2: undefined endpoint b"),
+    ("vertex a Z\nedge b b", "line 2: undefined endpoint b"),
+    ("vertex a Z\nedge a a", "line 2: self-loop at a"),
+    ("vertex a Z/1", "line 1: Z/1 needs n >= 2"),
+    ("vertex a Z/0", "line 1: Z/0 needs n >= 2"),
+    ("wibble a Z", "line 1: syntax error: 'wibble a Z'"),
+    ("vertex a Z\nedge a", "line 2: syntax error: 'edge a'"),
+    ("vertex 1a Z", "line 1: bad vertex id '1a'"),
+    ("vertex a Z/x", "line 1: bad label 'Z/x'"),
+    ("vertex a Z\nvertex b Q", "line 2: bad label 'Q'"),
+    ("", "graph has no vertices"),
+    ("# c\n\nvertex a Z\nedge b a", "line 4: undefined endpoint b"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(GraphError):
-        parse_graph("vertex a Z\nvertex a Z")
-    with pytest.raises(GraphError):
-        parse_graph("vertex a Z\nedge a b")
-    with pytest.raises(GraphError):
-        parse_graph("vertex a Z\nedge a a")
-    with pytest.raises(GraphError):
-        parse_graph("vertex a Z/1")
-    with pytest.raises(GraphError):
-        parse_graph("vertex a Z/0")
-    with pytest.raises(GraphError):
-        parse_graph("wibble a Z")
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(GraphError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message, text
 
 
 def test_expand_splits_composite_orders():
@@ -319,6 +329,33 @@ def test_mask_classification_matches_induced_graph_version(raw, data):
         for S in (X, frozenset(range(g.n))):
             assert (_or_error(tau_classes, g, S)
                     == _or_error(reference.classes_in, g, S))
+
+
+# -- expand against the name-pair rebuild it replaced ------------------------
+
+EXPAND_LABELS = ["Z", "Z/2", "Z/4", "Z/9", "Z/6", "Z/12", "Z/30"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_graphs(EXPAND_LABELS, 10))
+def test_expand_matches_name_pair_rebuild(g):
+    h, want = expand(g), reference.expand(g)
+    assert (h.names, h.labels, h.adj) == (want.names, want.labels, want.adj)
+    assert h.index == want.index and h.n == want.n
+    assert cli._graph_text(h) == cli._graph_text(want)
+    assert expand(h) is h
+    if h.n == g.n:  # no label split: the adjacency is shared
+        assert h.adj is g.adj and h.names is g.names
+    else:
+        assert not g.is_expanded()
+
+
+def test_expand_keeps_the_duplicate_id_error():
+    g = parse_graph("vertex a Z/6\nvertex a_p2k1 Z")
+    with pytest.raises(GraphError, match="^duplicate vertex id$"):
+        reference.expand(g)
+    with pytest.raises(GraphError, match="^duplicate vertex id$"):
+        expand(g)
 
 
 def test_tau_table_checks_indices_and_expansion():
