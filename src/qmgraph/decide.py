@@ -55,8 +55,8 @@ def _sorted_sets(sets) -> list[frozenset[int]]:
     return sorted(sets, key=lambda s: sorted(s))
 
 
-def _kind_for_pair(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
-                   z=DEFAULT_Z) -> Optional[tuple]:
+def _kind_for_pair(g: LabeledGraph, A: frozenset[int], B: frozenset[int]
+                   ) -> Optional[tuple]:
     """Pick an evaluator kind for the free pair (A, B), or None if only the
     non-constructive Z * Z base would remain.  Returns (A, B, kind) with A
     swapped to the infinite-cyclic side when WeightedZ applies."""
@@ -66,13 +66,13 @@ def _kind_for_pair(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
     if az or bz:
         if bz:
             A, B = B, A
-        return (A, B, ev.WeightedZ(z))
+        return (A, B, ev.WeightedZ(DEFAULT_Z))
     if ev.labeled_isomorphic(g, A, B):
         if _single_z2(g, A):
             return None
-        return (A, B, ev.SumBothSides(z))
+        return (A, B, ev.SumBothSides(DEFAULT_Z))
     side = "A" if not _single_z2(g, A) else "B"
-    return (A, B, ev.Code(side, z))
+    return (A, B, ev.Code(side, DEFAULT_Z))
 
 
 _SPLIT = ": cone {cone} splits as {A} * {B} ({kind})"
@@ -110,19 +110,11 @@ def _first_spec(g: LabeledGraph, pairs: Iterable[tuple], trace: list[str],
     return None
 
 
-def _classes_in(g: LabeledGraph, X: frozenset[int]
+def _classes_in(g: LabeledGraph, X: Iterable[int]
                 ) -> tuple[TauClassification, list[frozenset[int]]]:
-    """The ~_tau classification of the graph g induces on X (g's own at
-    X = V), read on adjacency masks cut to X with its classes in g's
-    vertex indices, and its minimal classes in lexicographic order."""
-    tc = g.tau_classification if len(X) == g.n else tau_classes(g, X)
+    """tau_classes(g, X) and its minimal classes in lexicographic order."""
+    tc = tau_classes(g, X)
     return tc, _sorted_sets(tc.classes[i] for i in tc.minimal_classes())
-
-
-def _full_stars(g: LabeledGraph, X: frozenset[int]) -> list[int]:
-    """The vertices of X, in increasing order, whose star contains X."""
-    xmask = vertex_mask(g, X)
-    return [v for v in sorted(X) if (g.adj[v] | 1 << v) & xmask == xmask]
 
 
 def _claim_pairs(g: LabeledGraph, factors) -> Iterator[tuple]:
@@ -184,13 +176,20 @@ def _decide_free_product(g: LabeledGraph, trace: list[str]) -> Verdict:
 # -- graph products of finite abelian groups (connected) --------------------
 
 def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
+    """Every label finite, g connected and not complete: peel X = V.
+
+    X stays non-complete at the loop head, so it empties only through a
+    Z_k step, and zk_sizes is never empty after the loop:
+    - a full-star class M is a clique joined to all of X (class members
+      have equal stars), so were X - M complete or empty, so was X;
+    - a Z_k step leaves the neighbours of x, each joined to all of L_M
+      (no pivot), so were they complete, each would have had a full
+      star, and the step runs only when no vertex has one."""
     X = frozenset(range(g.n))
     zk_sizes: list[int] = []
     while X:
-        full = _full_stars(g, X)
-        if len(full) == len(X):
-            trace.append(f"{_names(g, X)} is complete: finite abelian factor")
-            break
+        xmask = vertex_mask(g, X)
+        full = [v for v in sorted(X) if (g.adj[v] | 1 << v) & xmask == xmask]
         tc, mins = _classes_in(g, X)
         if full:
             M = next(c for c in tc.classes if full[0] in c)
@@ -235,12 +234,9 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
         trace.append("decomposition contains a Z_k factor with k >= 3: "
                      "open case")
         return Verdict(UNKNOWN, None, trace, g)
-    if zk_sizes:
-        trace.append("group is (D-infinity)^k x finite abelian: "
-                     "no unbounded quasimorphism exists")
-        return Verdict(PROVABLY_NONE, None, trace, g)
-    trace.append("group is finite abelian")
-    return Verdict(FINITE, None, trace, g)
+    trace.append("group is (D-infinity)^k x finite abelian: "
+                 "no unbounded quasimorphism exists")
+    return Verdict(PROVABLY_NONE, None, trace, g)
 
 
 # -- right-angled Artin groups ----------------------------------------------
@@ -276,24 +272,20 @@ def _decide_raag(g: LabeledGraph, trace: list[str]) -> Verdict:
 
 def _raag_abelian_classes(g: LabeledGraph,
                           trace: list[str]) -> Optional[Verdict]:
-    """All ~_tau classes free abelian: the iterated minimal-pair search."""
+    """All ~_tau classes free abelian: pair each minimal class M with the
+    minimal classes of L_M, in one pass.  No L_M is empty: class members
+    have equal stars, so an empty L_M makes M central, every class lies
+    strongly below it, and M is minimal only as the one class of a
+    complete graph, which decide handles first."""
     trace.append("every ~_tau class is free abelian")
-    X = frozenset(range(g.n))
+    tc, mins = _classes_in(g, range(g.n))
     pairs: list[tuple] = []
-    while X and len(_full_stars(g, X)) < len(X):  # X not complete
-        tc, mins = _classes_in(g, X)
-        progressed = False
-        for M in mins:
-            LM = X & lower_cone_L(g, M)
-            progressed |= bool(LM)
-            inside = sum(1 << i for i, c in enumerate(tc.classes) if c <= LM)
-            pairs += [(M, N) for N in _sorted_sets(
-                c for i, c in enumerate(tc.classes)
-                if tc.below[i] & inside == 1 << i)]
-        if progressed:
-            break
-        # every minimal class commutes with the rest; peel it
-        X = X - mins[0]
+    for M in mins:
+        LM = lower_cone_L(g, M)
+        inside = sum(1 << i for i, c in enumerate(tc.classes) if c <= LM)
+        pairs += [(M, N) for N in _sorted_sets(
+            c for i, c in enumerate(tc.classes)
+            if tc.below[i] & inside == 1 << i)]
     # a pair of single Z vertices has no constructive kind
     spec = _first_spec(g, pairs, trace,
                        "minimal pair cone {cone}: Z^{nA} * Z^{nB} ({kind})")

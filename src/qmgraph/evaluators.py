@@ -200,8 +200,6 @@ def build(graph: LabeledGraph, cone: frozenset[int],
     if isinstance(kind, WeightedZ):
         if not az:
             raise BuildError("WeightedZ needs side A = single Z vertex")
-        if bz:
-            raise BuildError("non-constructive base (F2)")
     elif isinstance(kind, Code):
         if az or bz:
             raise BuildError("Code kind needs both sides non-Z; "

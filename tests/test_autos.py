@@ -344,6 +344,17 @@ def test_random_aut0_deterministic():
     assert a(x) == b(x)
 
 
+def test_random_aut0_without_type_2_to_4_generators():
+    # Z/2 has no factor automorphism but the identity, and one vertex has
+    # no transvection or partial conjugation: the pool is empty
+    g = expand(parse_graph("vertex a Z/2"))
+    assert len(valid_aut0_gens(g)) == 0
+    phi = random_aut0(g, 4, seed=0)
+    assert phi == AutWord()
+    x = parse_word(g, "a")
+    assert phi(x) == x
+
+
 def test_valid_aut0_gens_all_validate():
     for graph in (figure1_raag(), ngon(4, "Z/3"), path_graph(["Z/2"] * 4)):
         g = expand(graph)

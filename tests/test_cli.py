@@ -332,11 +332,15 @@ def test_scl_heuristic_json(capsys, z5z3_file):
 
 # -- exit codes ---------------------------------------------------------------
 
-def test_usage_error_is_exit_1(capsys):
+def test_usage_error_is_exit_1(capsys, z5z3_file):
     code, _, _ = run(capsys, "decide")  # missing file argument
     assert code == 1
     code, _, _ = run(capsys, "no-such-command")
     assert code == 1
+    code, out, err = run(capsys, "eval", z5z3_file, "--word", "v0",
+                         "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                         "--z", "1,x")
+    assert (code, out, err) == (1, "", "error: invalid pattern '1,x'\n")
 
 
 def test_parse_error_is_exit_2(capsys, tmp_path):
@@ -363,6 +367,10 @@ def test_math_error_is_exit_3(capsys, z5z3_file):
                        "--kind", "wz")
     assert code == 3
     assert "single Z vertex" in err
+    # a vertex name the graph lacks is a GraphError from vertex_set
+    code, out, err = run(capsys, "eval", z5z3_file, "--word", "v0",
+                         "--cone", "v0,nope", "--partA", "v0", "--partB", "v1")
+    assert (code, out, err) == (3, "", "error: unknown vertex nope\n")
 
 
 def test_partition_edge_is_exit_3(capsys, tmp_path):

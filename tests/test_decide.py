@@ -1,5 +1,6 @@
 """Decision procedure: verdict table, witnesses, and invariant cones."""
 
+import json
 import math
 import random
 from importlib import resources
@@ -7,6 +8,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmgraph.cli import main
 from qmgraph.decide import (ABELIAN, EXISTS_CONSTRUCTIVE,
                             EXISTS_NONCONSTRUCTIVE, FINITE, PROVABLY_NONE,
                             UNKNOWN, Verdict, WitnessSpec, decide,
@@ -139,6 +141,36 @@ def test_decide_raag_abelian():
     v = decide(ngon(3, "Z"))
     assert v.status == ABELIAN
     assert v.trace == ["complete graph: infinite abelian group"]
+
+
+# Two terminal reasons that no pinned graph reaches.  No RAAG on 4 or 5
+# vertices reaches the second one.
+UNPINNED_REASONS = [
+    pytest.param("vertex a Z\nvertex b Z\nvertex c Z\nvertex d Z/2\n",
+                 UNKNOWN,
+                 ["free product of 4 freely indecomposable factors: "
+                  "{a}, {b}, {c}, {d}",
+                  "3 > 2 infinite cyclic factors: existence hypothesis "
+                  "fails; open case"], id="three-z-free-factors"),
+    pytest.param("".join(f"vertex v{i} Z\n" for i in range(6))
+                 + "edge v0 v1\nedge v0 v2\nedge v0 v3\nedge v0 v5\n"
+                 "edge v1 v2\nedge v1 v3\nedge v1 v4\n",
+                 EXISTS_NONCONSTRUCTIVE,
+                 ["all labels infinite cyclic: right-angled Artin case",
+                  "an invariant lower cone with a valid free split exists; "
+                  "non-constructive"], id="raag-invariant-cone"),
+]
+
+
+@pytest.mark.parametrize("text,status,trace", UNPINNED_REASONS)
+def test_unpinned_terminal_reasons(capsys, tmp_path, text, status, trace):
+    v = decide(parse_graph(text))
+    assert (v.status, v.trace, v.witness) == (status, trace, None)
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    assert main(["decide", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"status": status,
+                                                   "trace": trace}
 
 
 def test_find_invariant_cones_figure1():

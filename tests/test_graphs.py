@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmgraph import cli
-from qmgraph.graphs import (GraphError, LabeledGraph, Z, _prime_factors,
-                            center_support,
+from qmgraph.graphs import (GraphError, LabeledGraph, VertexGroupSpec, Z,
+                            _prime_factors, center_support,
                             connected_components, cyclic, expand,
                             is_lower_cone, lower_cone_L, parse_graph,
                             primary, tau_classes, FREE, FREE_ABELIAN,
@@ -74,6 +74,12 @@ def test_construction_errors():
         LabeledGraph(verts, [("a", "b"), ("b", "b")])
     with pytest.raises(GraphError, match="^duplicate vertex id$"):
         LabeledGraph(verts + [("a", Z)], [])
+    with pytest.raises(GraphError,
+                       match="^finite vertex group needs order >= 2$"):
+        cyclic(1)
+    with pytest.raises(GraphError,
+                       match="^primary label inconsistent with order$"):
+        VertexGroupSpec(4, 2, 1)  # 4 is not 2^1
 
 
 PARSE_ERRORS = [

@@ -120,6 +120,19 @@ def test_syllables_reject_partition_with_edges():
                          (frozenset({0}), frozenset({1})))
 
 
+def test_syllables_reject_overlapping_sides():
+    g = z5z3()
+    with pytest.raises(WordError, match="^partition sides overlap$"):
+        syllable_letters(parse_word(g, "v0 v1"),
+                         (frozenset({0, 1}), frozenset({1})))
+
+
+def test_mul_rejects_words_over_different_graphs():
+    x, y = (parse_word(z5z3(), "v0") for _ in range(2))
+    with pytest.raises(WordError, match="^mismatched ambient graphs$"):
+        x * y
+
+
 def test_random_word_deterministic():
     g = expand(ngon(5, "Z/2"))
     assert random_word(g, 8, seed=11) == random_word(g, 8, seed=11)
