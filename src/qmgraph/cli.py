@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 parse error (graph or word),
+Exit codes: 0 success, 1 usage error, 2 parse error (graph, word or vertex),
 3 mathematical precondition violation (invalid cone, F2 base, ...).
 """
 
@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .evaluators import (BuildError, Code, Evaluator, SumBothSides, WeightedZ,
-                         average, build, evaluate)
+from .evaluators import (Code, Evaluator, SumBothSides, WeightedZ, average,
+                         build, evaluate)
 from .decide import (EXISTS_CONSTRUCTIVE, decide, find_invariant_cones,
                      witness)
 from .scl import DefectEstimate, estimate_defect, scl_aut_lower_bound
@@ -59,17 +59,25 @@ def _load_graph(path: str) -> LabeledGraph:
         raise SystemExit(PARSE_ERR)
 
 
+def _parsed(parse, *args):
+    """parse(*args), exiting 2 on a parse error."""
+    try:
+        return parse(*args)
+    except (GraphError, WordError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        raise SystemExit(PARSE_ERR)
+
+
 def _vset(g: LabeledGraph, arg: str):
-    return g.vertex_set(s for s in arg.split(",") if s)
+    return _parsed(g.vertex_set, [s for s in arg.split(",") if s])
 
 
 def _ztuple(arg: str):
     try:
-        z = tuple(int(s) for s in arg.split(",") if s)
+        return tuple(int(s) for s in arg.split(",") if s)
     except ValueError:
         print(f"error: invalid pattern {arg!r}", file=sys.stderr)
         raise SystemExit(USAGE_ERR)
-    return z
 
 
 def _add_eval_flags(p):
@@ -97,22 +105,10 @@ def _build_from_flags(g: LabeledGraph, args) -> Evaluator:
         kind = WeightedZ(z)
     else:
         kind = SumBothSides(z)
-    try:
-        e = build(g, _vset(g, args.cone),
-                     (_vset(g, args.partA), _vset(g, args.partB)), kind,
-                     homog_params=(args.max_n, args.max_period))
-    except BuildError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(MATH_ERR)
+    e = build(g, _vset(g, args.cone),
+              (_vset(g, args.partA), _vset(g, args.partB)), kind,
+              homog_params=(args.max_n, args.max_period))
     return average(e) if args.avg else e
-
-
-def _parse_word_or_exit(g, text):
-    try:
-        return parse_word(g, text)
-    except WordError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(PARSE_ERR)
 
 
 def _print_value(v, as_json=False):
@@ -131,6 +127,12 @@ def _witness_json(g, spec):
         "z": list(spec.kind.z),
         "side": getattr(spec.kind, "side", None),
     }
+
+
+def _spec_line(verdict) -> str:
+    w = _witness_json(verdict.graph, verdict.witness)
+    return (f"cone={','.join(w['cone'])} partA={','.join(w['partA'])} "
+            f"partB={','.join(w['partB'])} kind={w['kind']}")
 
 
 def _graph_text(g: LabeledGraph) -> str:
@@ -178,9 +180,7 @@ def _cmd_decide(args):
         for line in verdict.trace:
             print(f"  {line}")
     if verdict.witness is not None:
-        w = _witness_json(verdict.graph, verdict.witness)
-        print(f"cone={','.join(w['cone'])} partA={','.join(w['partA'])} "
-              f"partB={','.join(w['partB'])} kind={w['kind']}")
+        print(_spec_line(verdict))
     return 0
 
 
@@ -198,7 +198,7 @@ def _cmd_autos(args):
 def _cmd_eval(args):
     g = expand(_load_graph(args.file))
     e = _build_from_flags(g, args)
-    x = _parse_word_or_exit(g, args.word)
+    x = _parsed(parse_word, g, args.word)
     _print_value(evaluate(e, x), as_json=args.json)
     return 0
 
@@ -210,22 +210,15 @@ def _cmd_witness(args):
         print(f"error: status={verdict.status}; no constructive witness",
               file=sys.stderr)
         return MATH_ERR
-    w = witness(g, verdict)
-    print(str(w))
-    spec = _witness_json(verdict.graph, verdict.witness)
-    print(f"cone={','.join(spec['cone'])} partA={','.join(spec['partA'])} "
-          f"partB={','.join(spec['partB'])} kind={spec['kind']}")
+    print(str(witness(g, verdict)))
+    print(_spec_line(verdict))
     return 0
 
 
 def _cmd_defect(args):
     g = expand(_load_graph(args.file))
     e = _build_from_flags(g, args)
-    try:
-        d = estimate_defect(e, args.samples, args.max_len, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MATH_ERR
+    d = estimate_defect(e, args.samples, args.max_len, args.seed)
     print(f"defect>={_fmt(d.empirical_max)} samples={d.samples} "
           f"skipped={d.skipped}{' vacuous' if d.vacuous else ''}")
     return 0
@@ -234,18 +227,13 @@ def _cmd_defect(args):
 def _cmd_scl(args):
     g = expand(_load_graph(args.file))
     e = _build_from_flags(g, args)
-    x = _parse_word_or_exit(g, args.word)
-    try:
-        if args.defect_bound is not None:
-            d = DefectEstimate(Fraction(0), 0, args.max_len, args.seed,
-                               user_bound=args.defect_bound)
-        else:
-            d = estimate_defect(e, args.samples, args.max_len,
-                                       args.seed)
-        bound, mode = scl_aut_lower_bound(e, x, d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MATH_ERR
+    x = _parsed(parse_word, g, args.word)
+    if args.defect_bound is not None:
+        d = DefectEstimate(Fraction(0), 0, args.max_len, args.seed,
+                           user_bound=args.defect_bound)
+    else:
+        d = estimate_defect(e, args.samples, args.max_len, args.seed)
+    bound, mode = scl_aut_lower_bound(e, x, d)
     if args.json:
         print(json.dumps({"scl_aut_lb": _fmt(bound), "mode": mode}))
     else:
@@ -364,9 +352,9 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     try:
         return args.fn(args)
-    except GraphError as exc:
-        # graph preconditions and size caps; parse errors have already
-        # exited with PARSE_ERR in _load_graph
+    except ValueError as exc:
+        # GraphError, BuildError, WordError and AutError: preconditions
+        # and budgets; parse errors have already exited with PARSE_ERR
         print(f"error: {exc}", file=sys.stderr)
         return MATH_ERR
 

@@ -57,8 +57,8 @@ def _sorted_sets(sets) -> list[frozenset[int]]:
 
 def _kind_for_pair(g: LabeledGraph, A: frozenset[int], B: frozenset[int]
                    ) -> Optional[tuple]:
-    """Pick an evaluator kind for the free pair (A, B), or None if only the
-    non-constructive Z * Z base would remain.  Returns (A, B, kind) with A
+    """Pick an evaluator kind for the free pair (A, B), or None for a
+    Z * Z or Z/2 * Z/2 base, which has none.  Returns (A, B, kind) with A
     swapped to the infinite-cyclic side when WeightedZ applies."""
     az, bz = _single_z(g, A), _single_z(g, B)
     if az and bz:
@@ -78,35 +78,29 @@ def _kind_for_pair(g: LabeledGraph, A: frozenset[int], B: frozenset[int]
 _SPLIT = ": cone {cone} splits as {A} * {B} ({kind})"
 
 
-def _checked_spec(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
-                  kind: ev.Kind, trace: list[str],
-                  line: str) -> Optional[WitnessSpec]:
-    """The spec for (A, B, kind) if the evaluator builds (so A | B is a
-    lower cone), else None.  On success `line`, formatted with the fields
-    cone, A, B (vertex names), nA, nB (side sizes) and kind, goes on the
-    trace."""
-    cone = A | B
-    try:
-        ev.build(g, cone, (A, B), kind)
-    except ev.BuildError:
-        return None
-    trace.append(line.format(cone=_names(g, cone), A=_names(g, A),
-                             B=_names(g, B), nA=len(A), nB=len(B),
-                             kind=type(kind).__name__))
-    return WitnessSpec(cone, (A, B), kind)
-
-
 def _first_spec(g: LabeledGraph, pairs: Iterable[tuple], trace: list[str],
                 line: str) -> Optional[WitnessSpec]:
-    """The spec of the first candidate pair (A, B), in order, that has a
-    constructive evaluator kind and checks out; `line` is as in
-    _checked_spec."""
+    """The spec of the first candidate pair (A, B), in order, whose union
+    is a lower cone and that has a constructive evaluator kind; `line`,
+    with the fields cone, A, B (vertex names), nA, nB (side sizes) and
+    kind, goes on the trace.  The cone, the cheaper test, goes first.
+
+    evaluators.build accepts the spec: its other checks hold for every
+    candidate.
+    - A and B are disjoint and non-adjacent, and each is connected: a
+      component, a finite or free-abelian class (a clique), or a vertex.
+    - g is expanded, and DEFAULT_Z is generic.
+    - _kind_for_pair returns WeightedZ with A on the Z side, SumBothSides
+      only for isomorphic sides that are not Z/2, and Code only for
+      sides that are not isomorphic, on a side that is not Z/2."""
     for A, B in pairs:
-        picked = _kind_for_pair(g, A, B)
-        if picked is not None:
-            spec = _checked_spec(g, *picked, trace, line)
-            if spec is not None:
-                return spec
+        picked = is_lower_cone(g, A | B) and _kind_for_pair(g, A, B)
+        if picked:
+            A, B, kind = picked
+            trace.append(line.format(cone=_names(g, A | B), A=_names(g, A),
+                                     B=_names(g, B), nA=len(A), nB=len(B),
+                                     kind=type(kind).__name__))
+            return WitnessSpec(A | B, (A, B), kind)
     return None
 
 
@@ -147,8 +141,9 @@ _CONE_PAIR = "invariant cone pair" + _SPLIT
 
 # -- free products (disconnected expanded graph) ----------------------------
 
-def _decide_free_product(g: LabeledGraph, trace: list[str]) -> Verdict:
-    comps = connected_components(g, range(g.n))
+def _decide_free_product(g: LabeledGraph, comps: list[frozenset[int]],
+                         trace: list[str]) -> Verdict:
+    """g is disconnected, with components comps."""
     k = len(comps)
     trace.append(f"free product of {k} freely indecomposable factors: "
                  + ", ".join(_names(g, c) for c in comps))
@@ -385,8 +380,9 @@ def decide(graph: LabeledGraph) -> Verdict:
     if all(s.is_infinite for s in g.labels):
         trace.append("all labels infinite cyclic: right-angled Artin case")
         return _decide_raag(g, trace)
-    if len(connected_components(g, range(g.n))) > 1:
-        return _decide_free_product(g, trace)
+    comps = connected_components(g, range(g.n))
+    if len(comps) > 1:
+        return _decide_free_product(g, comps, trace)
     if all(not s.is_infinite for s in g.labels):
         trace.append("connected graph of finite (primary) groups")
         return _decide_finite_connected(g, trace)

@@ -410,8 +410,7 @@ def tau_classes(g: LabeledGraph,
     xmask = g.full_mask if X is None else vertex_mask(g, X)
     if X is not None and xmask == g.full_mask:
         return g.tau_classification
-    up = _transpose(g.tau_down, g.n) if X is None else _tau_up(g, xmask)
-    down = g.tau_down if X is None else _transpose(up, g.n)
+    down = g.tau_down if X is None else _transpose(_tau_up(g, xmask), g.n)
     adj = g.adj
     masks: list[int] = []
     classes: list[list[int]] = []
@@ -419,9 +418,9 @@ def tau_classes(g: LabeledGraph,
     rest = xmask
     while rest:
         v = (rest & -rest).bit_length() - 1
-        cls = up[v] & down[v]
+        members = [w for w in _bits(down[v]) if down[w] >> v & 1]
+        cls = sum(1 << w for w in members)
         rest ^= cls
-        members = list(_bits(cls))
         for w in members:
             class_of[w] = len(classes)
         masks.append(cls)

@@ -360,6 +360,17 @@ def test_bad_word_is_exit_2(capsys, z5z3_file):
     assert "unknown vertex" in err
 
 
+@pytest.mark.parametrize("flag", ["--cone", "--partA", "--partB"])
+def test_unknown_vertex_in_a_set_flag_is_exit_2(capsys, z5z3_file, flag):
+    sets = {"--cone": "v0,v1", "--partA": "v0", "--partB": "v1"}
+    sets[flag] += ",nope"
+    flags = [s for pair in sets.items() for s in pair]
+    for argv in (["eval", z5z3_file, "--word", "v0"],
+                 ["scl", z5z3_file, "--word", "v0"], ["defect", z5z3_file]):
+        assert run(capsys, *argv, *flags) == (
+            2, "", "parse error: unknown vertex nope\n")
+
+
 def test_math_error_is_exit_3(capsys, z5z3_file):
     # F2-style request: WeightedZ on a torsion side
     code, _, err = run(capsys, "eval", z5z3_file, "--word", "v0",
@@ -367,10 +378,6 @@ def test_math_error_is_exit_3(capsys, z5z3_file):
                        "--kind", "wz")
     assert code == 3
     assert "single Z vertex" in err
-    # a vertex name the graph lacks is a GraphError from vertex_set
-    code, out, err = run(capsys, "eval", z5z3_file, "--word", "v0",
-                         "--cone", "v0,nope", "--partA", "v0", "--partB", "v1")
-    assert (code, out, err) == (3, "", "error: unknown vertex nope\n")
 
 
 def test_partition_edge_is_exit_3(capsys, tmp_path):
@@ -540,6 +547,13 @@ def test_examples_empty_dir_is_error(capsys, tmp_path):
     code, _, err = run(capsys, "examples", str(tmp_path))
     assert code == 2
     assert "expected.tsv" in err
+
+
+def test_examples_malformed_tsv_line_is_exit_3(capsys, tmp_path):
+    (tmp_path / "expected.tsv").write_text("flip ExistsConstructive\n")
+    code, out, err = run(capsys, "examples", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_run_examples_empty_tsv(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -274,6 +275,36 @@ def mixed_graphs(draw):
 @given(mixed_graphs())
 def test_cone_search_matches_frozenset_version(g):
     _assert_same_cones(g)
+
+
+# -- every constructive spec builds -------------------------------------------
+
+SPEC_LABELS = ("Z", "Z/2", "Z/3", "Z/4", "Z/9", "Z/6")
+
+
+def _random_graph(rng):
+    """A graph on 2 to 9 vertices, with one label or mixed labels."""
+    n = rng.randint(2, 9)
+    if rng.random() < 0.5:
+        labels = [rng.choice(SPEC_LABELS)] * n
+    else:
+        labels = [rng.choice(SPEC_LABELS) for _ in range(n)]
+    density = rng.uniform(0.2, 0.85)
+    return _graph(labels, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < density])
+
+
+def test_every_constructive_spec_builds():
+    # decide tests each candidate for the cone only; build checks it all
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(400):
+        v = decide(_random_graph(rng))
+        if v.status == EXISTS_CONSTRUCTIVE:
+            spec = v.witness
+            build(v.graph, spec.cone, spec.partition, spec.kind)
+            kinds[type(spec.kind).__name__] += 1
+    assert set(kinds) == {"Code", "SumBothSides", "WeightedZ"}, kinds
 
 
 def test_witness_requires_constructive_verdict():
