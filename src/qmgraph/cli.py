@@ -54,7 +54,7 @@ def _load_graph(path: str) -> LabeledGraph:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(PARSE_ERR)
-    except GraphError as exc:
+    except (GraphError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(PARSE_ERR)
 

@@ -179,7 +179,17 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
       have equal stars), so were X - M complete or empty, so was X;
     - a Z_k step leaves the neighbours of x, each joined to all of L_M
       (no pivot), so were they complete, each would have had a full
-      star, and the step runs only when no vertex has one."""
+      star, and the step runs only when no vertex has one.
+
+    Claim and pivot steps decide (finite v <=_tau w: st(v) in st(w)):
+    - each peeled star holds X (at a Z_k step x and L_M are joined to
+      rest) and X has no full star, so no peeled vertex is <=_tau one in
+      X: a set downward closed in X is a lower cone;
+    - M is minimal in X.  If S is downward closed in a component F of
+      L_M (or of L_y; {y} is alone in its component of L_M), v <=_tau s
+      in S puts v in st(s) and in L_M (or L_y), so in F, so in S;
+    - L_M is not empty (M has no full star), a pivot's L_y holds the edge
+      x-z, and _claim_pairs never yields two single Z/2 sides: a kind."""
     X = frozenset(range(g.n))
     zk_sizes: list[int] = []
     while X:
@@ -195,16 +205,12 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
         M = mins[0]
         LM = X & lower_cone_L(g, M)
         comps = connected_components(g, LM)
-        factors = [M] + comps
         trace.append(f"minimal class {_names(g, M)} with "
                      f"L_M = {_names(g, LM)}")
         if not (_single_z2(g, M) and all(_single_z2(g, c) for c in comps)):
-            spec = _first_spec(g, _claim_pairs(g, factors), trace,
+            spec = _first_spec(g, _claim_pairs(g, [M] + comps), trace,
                                "claim cone" + _SPLIT)
-            if spec is not None:
-                return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
-            trace.append("no claim pair verified as a lower cone")
-            return Verdict(UNKNOWN, None, trace, g)
+            return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
         # M = {x} and every component of L_M is a single Z/2 vertex
         rest = X - (M | LM)
         y = next((y for y in sorted(LM)
@@ -216,10 +222,7 @@ def _decide_finite_connected(g: LabeledGraph, trace: list[str]) -> Verdict:
             factors = [frozenset({y})] + connected_components(g, Ly)
             spec = _first_spec(g, _claim_pairs(g, factors), trace,
                                "pivot cone" + _SPLIT)
-            if spec is not None:
-                return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
-            trace.append("no pivot pair verified as a lower cone")
-            return Verdict(UNKNOWN, None, trace, g)
+            return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
         size = 1 + len(LM)
         zk_sizes.append(size)
         trace.append(f"{_names(g, M | LM)} spans a direct Z_{size} factor "
@@ -240,38 +243,39 @@ def _decide_raag(g: LabeledGraph, trace: list[str]) -> Verdict:
     """Every label infinite cyclic and the graph not complete."""
     tc = g.tau_classification
     if not any(kind == FREE and size >= 2 for kind, size in tc.class_type):
-        verdict = _raag_abelian_classes(g, trace)
-        if verdict is not None:
-            return verdict
-    else:
-        cones = _cone_masks(g)
-        spec = _first_spec(g, _cone_pairs(cones), trace, _CONE_PAIR)
-        if spec is not None:
-            return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
-        minimal_f2 = [i for i in tc.minimal_classes()
-                      if tc.class_type[i] == (FREE, 2)
-                      and is_lower_cone(g, tc.classes[i])]
-        if minimal_f2:
-            M = tc.classes[minimal_f2[0]]
-            trace.append(f"minimal class {_names(g, M)} spans F_2; "
-                         "existence holds but the F_2 base is "
-                         "non-constructive here")
-            return Verdict(EXISTS_NONCONSTRUCTIVE, None, trace, g)
-        if cones:
-            trace.append("an invariant lower cone with a valid free split "
-                         "exists; non-constructive")
-            return Verdict(EXISTS_NONCONSTRUCTIVE, None, trace, g)
+        return _raag_abelian_classes(g, trace)
+    cones = _cone_masks(g)
+    spec = _first_spec(g, _cone_pairs(cones), trace, _CONE_PAIR)
+    if spec is not None:
+        return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
+    minimal_f2 = [i for i in tc.minimal_classes()
+                  if tc.class_type[i] == (FREE, 2)
+                  and is_lower_cone(g, tc.classes[i])]
+    if minimal_f2:
+        M = tc.classes[minimal_f2[0]]
+        trace.append(f"minimal class {_names(g, M)} spans F_2; "
+                     "existence holds but the F_2 base is "
+                     "non-constructive here")
+        return Verdict(EXISTS_NONCONSTRUCTIVE, None, trace, g)
+    if cones:
+        trace.append("an invariant lower cone with a valid free split "
+                     "exists; non-constructive")
+        return Verdict(EXISTS_NONCONSTRUCTIVE, None, trace, g)
     trace.append("no applicable construction; open case")
     return Verdict(UNKNOWN, None, trace, g)
 
 
-def _raag_abelian_classes(g: LabeledGraph,
-                          trace: list[str]) -> Optional[Verdict]:
+def _raag_abelian_classes(g: LabeledGraph, trace: list[str]) -> Verdict:
     """All ~_tau classes free abelian: pair each minimal class M with the
     minimal classes of L_M, in one pass.  No L_M is empty: class members
     have equal stars, so an empty L_M makes M central, every class lies
     strongly below it, and M is minimal only as the one class of a
-    complete graph, which decide handles first."""
+    complete graph, which decide handles first.
+
+    Some pair is a lower cone, so only a Z * Z pair fails: M' minimal
+    under the full <=_tau, and N' so among the classes inside L_M', are
+    star-minimal, so a pair.  If x <=_tau n' in N', x not in M', then st(x)
+    misses M' (lk(x) lies in st(n')), so x's class is inside L_M': in N'."""
     trace.append("every ~_tau class is free abelian")
     tc, mins = _classes_in(g, range(g.n))
     pairs: list[tuple] = []
@@ -281,17 +285,13 @@ def _raag_abelian_classes(g: LabeledGraph,
         pairs += [(M, N) for N in _sorted_sets(
             c for i, c in enumerate(tc.classes)
             if tc.below[i] & inside == 1 << i)]
-    # a pair of single Z vertices has no constructive kind
     spec = _first_spec(g, pairs, trace,
                        "minimal pair cone {cone}: Z^{nA} * Z^{nB} ({kind})")
     if spec is not None:
         return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)
-    if any(len(M) == len(N) == 1 and is_lower_cone(g, M | N)
-           for M, N in pairs):
-        trace.append("only Z * Z minimal pairs available; existence holds "
-                     "non-constructively")
-        return Verdict(EXISTS_NONCONSTRUCTIVE, None, trace, g)
-    return None
+    trace.append("only Z * Z minimal pairs available; existence holds "
+                 "non-constructively")
+    return Verdict(EXISTS_NONCONSTRUCTIVE, None, trace, g)
 
 
 # -- invariant lower cones (sufficient condition) ----------------------------
@@ -371,7 +371,7 @@ def decide(graph: LabeledGraph) -> Verdict:
     trace: list[str] = []
     if g is not graph and (g.n != graph.n or g.names != graph.names):
         trace.append("expanded vertex groups into primary factors")
-    if g.n == 0 or g.is_complete():
+    if g.is_complete():
         if all(not s.is_infinite for s in g.labels):
             trace.append("complete graph, all labels finite: finite group")
             return Verdict(FINITE, None, trace, g)

@@ -324,6 +324,16 @@ def test_apply_invalid_generator_raises():
     g = expand(figure1_raag())
     with pytest.raises(AutError):
         apply_gen(Transvection(1, 0), NormalWord.identity(g))
+    # the path v0 - v1 - v2 labelled Z/2, Z/2, Z/3
+    h = expand(path_graph(["Z/2", "Z/2", "Z/3"]))
+    for perm, reason in (((0, 0, 1), "not a permutation of V"),
+                         ((2, 1, 0), "labels not preserved"),
+                         ((1, 0, 2), "edges not preserved")):
+        assert validate_gen(h, LabelledGraphAut(perm)) == (False, reason)
+        with pytest.raises(AutError, match=reason):
+            apply_gen(LabelledGraphAut(perm), NormalWord.identity(h))
+    with pytest.raises(GraphError, match="expanded graphs"):
+        validate_gen(path_graph(["Z/6", "Z/2"]), LabelledGraphAut((0, 1)))
 
 
 def test_aut_word_composition_and_apply():

@@ -351,6 +351,10 @@ def test_parse_error_is_exit_2(capsys, tmp_path):
     assert "parse error" in err
     code, _, _ = run(capsys, "decide", str(tmp_path / "missing.graph"))
     assert code == 2
+    p.write_bytes(b"vertex a Z/2\nvertex b \xff\n")  # not UTF-8
+    code, out, err = run(capsys, "decide", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
 
 
 def test_bad_word_is_exit_2(capsys, z5z3_file):

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from importlib import resources
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from qmgraph.decide import (ABELIAN, EXISTS_CONSTRUCTIVE,
                             UNKNOWN, Verdict, WitnessSpec, decide,
                             find_invariant_cones, witness)
 from qmgraph.evaluators import Code, WeightedZ, average, build, evaluate
-from qmgraph.graphs import GraphError, expand, parse_graph
+from qmgraph.graphs import GraphError, expand, is_lower_cone, parse_graph
 from qmgraph.words import NormalWord
 
 from conftest import (b_graph, cube, edgeless, figure1_raag, lambda_raag,
@@ -280,31 +281,60 @@ def test_cone_search_matches_frozenset_version(g):
 # -- every constructive spec builds -------------------------------------------
 
 SPEC_LABELS = ("Z", "Z/2", "Z/3", "Z/4", "Z/9", "Z/6")
+FINITE_LABELS = ("Z/2", "Z/3", "Z/4", "Z/8", "Z/9", "Z/6")
 
 
-def _random_graph(rng):
-    """A graph on 2 to 9 vertices, with one label or mixed labels."""
+def _random_graph(rng, spec_labels=SPEC_LABELS):
+    """A graph on 2 to 9 vertices, with one label or mixed labels from
+    spec_labels."""
     n = rng.randint(2, 9)
     if rng.random() < 0.5:
-        labels = [rng.choice(SPEC_LABELS)] * n
+        labels = [rng.choice(spec_labels)] * n
     else:
-        labels = [rng.choice(SPEC_LABELS) for _ in range(n)]
+        labels = [rng.choice(spec_labels) for _ in range(n)]
     density = rng.uniform(0.2, 0.85)
     return _graph(labels, [(i, j) for i in range(n) for j in range(i + 1, n)
                            if rng.random() < density])
 
 
+def _all_z_graphs(max_n):
+    """Every graph on 1 to max_n vertices v0, v1, ..., each labelled Z."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield _graph(["Z"] * n, [p for i, p in enumerate(pairs)
+                                     if bits >> i & 1])
+
+
 def test_every_constructive_spec_builds():
-    # decide tests each candidate for the cone only; build checks it all
+    # decide tests each candidate for the cone only; build checks it all.
+    # The claim and pivot steps and the RAAG minimal pairs have no
+    # failure exit (their docstrings say why): check them here
     rng = random.Random(20261019)
-    kinds = Counter()
-    for _ in range(400):
-        v = decide(_random_graph(rng))
+    graphs = [_random_graph(rng) for _ in range(400)]
+    graphs += [_random_graph(rng, FINITE_LABELS) for _ in range(600)]
+    graphs.append(b_graph(3, "Z/2"))  # ends in a Z_3 factor: Unknown
+    kinds, finite_steps = Counter(), Counter()
+    for v in map(decide, chain(graphs, _all_z_graphs(5))):
         if v.status == EXISTS_CONSTRUCTIVE:
             spec = v.witness
             build(v.graph, spec.cone, spec.partition, spec.kind)
             kinds[type(spec.kind).__name__] += 1
+        if "connected graph of finite (primary) groups" in v.trace:
+            finite_steps[v.trace[-1].split(":")[0]] += 1
+            assert v.status != UNKNOWN or v.trace[-1] == (
+                "decomposition contains a Z_k factor with k >= 3: open case")
+        if "every ~_tau class is free abelian" in v.trace:
+            assert v.status != UNKNOWN, v.trace
+            # two single Z vertices span a lower cone
+            g = v.graph
+            assert v.status != EXISTS_NONCONSTRUCTIVE or any(
+                not g.adjacent(a, b) and is_lower_cone(g, frozenset({a, b}))
+                for a, b in combinations(range(g.n), 2)), v.trace
     assert set(kinds) == {"Code", "SumBothSides", "WeightedZ"}, kinds
+    assert {"claim cone", "pivot cone",
+            "decomposition contains a Z_k factor with k >= 3"
+            } <= set(finite_steps), finite_steps
 
 
 def test_witness_requires_constructive_verdict():

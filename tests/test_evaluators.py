@@ -100,6 +100,9 @@ def test_build_kind_case_rules():
         build(g, cone, part({1}, {0}), WeightedZ(Z123))
     with pytest.raises(BuildError, match="both sides non-Z"):
         build(g, cone, part({0}, {1}), Code("B", Z123))
+    with pytest.raises(BuildError,
+                       match="SumBothSides needs both sides non-Z"):
+        build(g, cone, part({0}, {1}), SumBothSides(Z123))
     h = z5z3()
     with pytest.raises(BuildError, match="needs side A = single Z"):
         build(h, frozenset({0, 1}), part({0}, {1}), WeightedZ(Z123))
