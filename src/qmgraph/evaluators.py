@@ -13,8 +13,10 @@ its image, keeping their equality and exponents, and r_C(rho^-1 x) =
 rho^-1 r_{rho C}(x).  So f_{A,B}(rho^-1 x) = f_{rho A, rho B}(x), with
 the same homogenised value and exactness.  As sigma runs over Aut,
 sigma^-1 (A, B) meets each image |J| = |Aut| / |orbit| times (J fixes A
-and B), so the sum is |J| times the sum of each image's own f at x, one
-term per image, after the orbit search of autos.labelled_aut_group.
+and B), so the sum is |J| times the sum of each image's own f at x.
+average() finds the images (rho C, (rho A, rho B)) and |J| in one orbit
+search of autos.labelled_aut_group, as the evaluator's images and
+multiplicity.
 
 A retracted word w with at most two syllables in W_A * W_B homogenises
 to 0 without the power scan.  Such a w is e, lies in W_A or W_B, or is
@@ -24,10 +26,10 @@ Z-code, is empty or a single run.  Such a code holds no pattern z of
 length 2 or more, and a z of length 1 equals its reverse, so the two
 counts of f_z cancel and f_z(w^n) = 0 for every n (Calegari, *scl*,
 §2.3).  The value is then what the scan returns on the all-zero
-sequence, which at max_n = 2 is 0 flagged inexact.  base(w) still runs
-once, as the scan's n = 1 step, so its errors are raised as before.  An
-evaluator that overrides base keeps the scan, because its counting
-function need not vanish on such words.
+sequence, which at max_n = 2 is 0 flagged inexact.  base(w, (A, B))
+still runs once, as the scan's n = 1 step, so its errors are raised as
+before.  An evaluator that overrides base keeps the scan, because its
+counting function need not vanish on such words.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from typing import Optional, Union
+from typing import Union
 
 from . import codes
 from .autos import labelled_aut_group, labelled_isomorphisms
@@ -66,6 +68,7 @@ class SumBothSides:
 
 
 Kind = Union[Code, WeightedZ, SumBothSides]
+Pair = tuple[frozenset[int], frozenset[int]]
 
 
 def labeled_isomorphic(g: LabeledGraph, X: frozenset[int],
@@ -96,69 +99,54 @@ def _single_z2(g: LabeledGraph, S: frozenset[int]) -> bool:
 
 class Evaluator:
     """A (cone, partition, kind) quasimorphism pipeline; build() validates
-    it, the constructor does not."""
+    it, the constructor does not.  The value at x is multiplicity times
+    the sum over images (C, (A, B)) of the homogenised base on (A, B) at
+    r_C(x); a plain evaluator's images are its own pair alone."""
 
     def __init__(self, graph: LabeledGraph, cone: frozenset[int],
-                 partition: tuple[frozenset[int], frozenset[int]],
-                 kind: Kind, homog_params: tuple[int, int] = (64, 8),
-                 averaged: bool = False):
+                 partition: Pair, kind: Kind,
+                 homog_params: tuple[int, int] = (64, 8)):
         self.graph = graph
         self.cone = frozenset(cone)
         self.partition = (frozenset(partition[0]), frozenset(partition[1]))
         self.kind = kind
         self.homog_params = homog_params
-        self.averaged = averaged
+        self.multiplicity = 1
+        self.images = ((self.cone, self.partition),)
         self._homog_cache: dict[tuple, HomogValue] = {}
-        self._terms: Optional[tuple[int, list[Evaluator]]] = None
 
     # -- base counting function over the cone's free product ----------------
 
-    def base(self, w: NormalWord) -> int:
+    def base(self, w: NormalWord, partition: Pair) -> int:
         k = self.kind
         if isinstance(k, Code):
-            return codes.code_qm(w, self.partition, k.side, k.z)
+            return codes.code_qm(w, partition, k.side, k.z)
         if isinstance(k, WeightedZ):
-            return codes.weighted_code_qm(w, self.partition, k.z)
+            return codes.weighted_code_qm(w, partition, k.z)
         if isinstance(k, SumBothSides):
-            return (codes.code_qm(w, self.partition, "A", k.z)
-                    + codes.code_qm(w, self.partition, "B", k.z))
+            return (codes.code_qm(w, partition, "A", k.z)
+                    + codes.code_qm(w, partition, "B", k.z))
         raise BuildError(f"unknown kind {k!r}")
 
-    def _homog(self, w: NormalWord) -> HomogValue:
-        key = w.letters
+    def _homog(self, w: NormalWord, partition: Pair) -> HomogValue:
+        key = (partition, w.letters)
         got = self._homog_cache.get(key)
         if got is None:
             if (type(self).base is Evaluator.base
-                    and _syllable_count(w, self.partition[0]) <= 2):
+                    and _syllable_count(w, partition[0]) <= 2):
                 # f(w^n) = 0 for all n (module docstring); the scan's
                 # parameter checks, then its n = 1 step for base's checks
                 got = _all_zero(self.homog_params)
-                self.base(w)
+                self.base(w, partition)
             else:
-                got = homogenise(self.base, w, *self.homog_params)
+                got = homogenise(lambda u: self.base(u, partition), w,
+                                 *self.homog_params)
             self._homog_cache[key] = got
         return got
 
-    def terms(self) -> tuple[int, list[Evaluator]]:
-        """(m, ts): the value at x is m * sum of t._homog(r_{t.cone}(x))
-        over ts; averaged, |J| and one evaluator per image of (A, B)."""
-        if not self.averaged:
-            return 1, [self]
-        if self._terms is None:
-            group = labelled_aut_group(self.graph)
-            orbit = group.pair_orbit(*self.partition)
-            images = [Evaluator(self.graph,
-                                frozenset(rho[v] for v in self.cone), pair,
-                                self.kind, self.homog_params)
-                      for pair, rho in orbit.items()]
-            images[0]._homog_cache = self._homog_cache  # (A, B) comes first
-            self._terms = (group.order // len(orbit), images)
-        return self._terms
 
-
-def build(graph: LabeledGraph, cone: frozenset[int],
-          partition: tuple[frozenset[int], frozenset[int]], kind: Kind,
-          homog_params: tuple[int, int] = (64, 8)) -> Evaluator:
+def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
+          kind: Kind, homog_params: tuple[int, int] = (64, 8)) -> Evaluator:
     """Validate the evaluator invariants and the kind's case conditions."""
     cone = frozenset(cone)
     A, B = frozenset(partition[0]), frozenset(partition[1])
@@ -220,10 +208,14 @@ def build(graph: LabeledGraph, cone: frozenset[int],
 
 
 def average(e: Evaluator) -> Evaluator:
-    """The evaluator summing over all labelled graph automorphisms."""
-    out = Evaluator(e.graph, e.cone, e.partition, e.kind, e.homog_params,
-                    averaged=True)
-    out._homog_cache = e._homog_cache
+    """The evaluator summing over all labelled graph automorphisms: |J|
+    times one term per image of (A, B), with (A, B) first."""
+    group = labelled_aut_group(e.graph)
+    orbit = group.pair_orbit(*e.partition)
+    out = Evaluator(e.graph, e.cone, e.partition, e.kind, e.homog_params)
+    out.multiplicity = group.order // len(orbit)
+    out.images = tuple((frozenset(rho[v] for v in e.cone), pair)
+                       for pair, rho in orbit.items())
     return out
 
 
@@ -231,11 +223,9 @@ def evaluate(e: Evaluator, x: NormalWord) -> HomogValue:
     """Homogenised (and, if averaged, automorphism-summed) value at x."""
     if x.graph is not e.graph:
         raise BuildError("word over a different graph")
-    size, terms = e.terms()
     total, exact = Fraction(0), True
-    for t in terms:
-        term = t._homog(retraction(x, t.cone))
+    for cone, partition in e.images:
+        term = e._homog(retraction(x, cone), partition)
         total += term.value
         exact = exact and term.exact
-    return HomogValue(size * total, exact)
-
+    return HomogValue(e.multiplicity * total, exact)

@@ -268,8 +268,11 @@ def parse_graph(text: str) -> LabeledGraph:
                 raise GraphError(f"line {lineno}: duplicate vertex {name}")
             spec = specs.get(label)
             if spec is None and label.startswith("Z/"):
-                try:
-                    n = int(label[2:])
+                digits = label[2:]
+                try:  # int() alone also takes "_", a sign and non-ASCII digits
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError
+                    n = int(digits)
                 except ValueError:
                     raise GraphError(f"line {lineno}: bad label {label!r}") from None
                 if n < 2:

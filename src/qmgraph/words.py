@@ -114,9 +114,6 @@ class NormalWord:
     def __len__(self):
         return len(self.letters)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def support(self) -> frozenset[int]:
         return frozenset(v for v, _ in self.letters)
 
@@ -158,21 +155,22 @@ class NormalWord:
                 acc = acc * acc
         return result
 
-    def conjugate_by(self, y: "NormalWord") -> "NormalWord":
-        return y * self * y.inverse()
-
 
 # -- parsing and printing ----------------------------------------------------
 
 def parse_word(g: LabeledGraph, text: str) -> NormalWord:
-    """Parse whitespace-separated tokens `<id>`, `<id>^<int>` or `e`."""
+    """Parse whitespace-separated tokens `<id>`, `<id>^<int>` or `e`, where
+    <int> is an optional sign and ASCII digits."""
     letters: list[Letter] = []
     for tok in text.split():
         if tok == "e":
             continue
         if "^" in tok:
             name, _, exp = tok.partition("^")
-            try:
+            digits = exp[1:] if exp[:1] in ("+", "-") else exp
+            try:  # int() alone also takes "_" and non-ASCII digits
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
                 e = int(exp)
             except ValueError:
                 raise WordError(f"bad exponent in token {tok!r}") from None

@@ -33,7 +33,7 @@ def test_build_happy_path_code():
     g = z5z3()
     e = build(g, frozenset({0, 1}), part({0}, {1}), Code("A", Z123))
     assert e.cone == frozenset({0, 1})
-    assert not e.averaged
+    assert e.multiplicity == 1 and e.images == ((e.cone, e.partition),)
 
 
 def test_build_structural_errors():
@@ -224,10 +224,11 @@ def test_short_words_skip_scan_with_scan_result(params):
             a, b = _side_word(g, A, rng), _side_word(g, B, rng)
             words += [a, b, a * b, b * a]
         for w in words:
-            assert e._homog(w) == homogenise(e.base, w, *params), (e.kind, w)
+            assert e._homog(w, e.partition) == homogenise(
+                lambda u: e.base(u, e.partition), w, *params), (e.kind, w)
         # at max_n = 2 the scan sees one difference and flags 0 inexact
-        assert e._homog(words[0]) == HomogValue(Fraction(0),
-                                                params != (2, 1))
+        assert e._homog(words[0], e.partition) == HomogValue(
+            Fraction(0), params != (2, 1))
 
 
 def _outcome(f):
@@ -261,18 +262,24 @@ def test_short_word_errors_match_scan():
                    homog_params=(1, 8)), parse_word(g, "v0")),
     ]
     for e, w in cases:
-        got = _outcome(lambda: e._homog(w))
+        got = _outcome(lambda: e._homog(w, e.partition))
         assert isinstance(got, tuple), got
-        assert got == _outcome(lambda: homogenise(e.base, w,
-                                                  *e.homog_params))
+        assert got == _outcome(lambda: homogenise(
+            lambda u: e.base(u, e.partition), w, *e.homog_params))
 
 
-def test_average_shares_cache_and_flags():
-    g = z5z3()
-    e = build(g, frozenset({0, 1}), part({0}, {1}), Code("A", Z123))
+def test_average_sets_images_and_multiplicity():
+    g = expand(edgeless(["Z/3", "Z/3"]))  # Aut swaps v0 and v1
+    cone, p = frozenset({0, 1}), part({0}, {1})
+    e = build(g, cone, p, SumBothSides(Z123))
     a = average(e)
-    assert a.averaged and not e.averaged
-    assert a._homog_cache is e._homog_cache
+    assert (a.cone, a.partition, a.kind) == (e.cone, e.partition, e.kind)
+    assert e.multiplicity == 1 and e.images == ((cone, p),)
+    assert a.multiplicity == 1
+    assert a.images == ((cone, p), (cone, part({1}, {0})))
+    # without automorphisms the average is the evaluator itself
+    b = average(build(z5z3(), cone, p, Code("A", Z123)))
+    assert (b.multiplicity, b.images) == (1, ((cone, p),))
 
 
 def test_restriction_scaling_square_z3():
@@ -311,7 +318,8 @@ def full_group_sum(e, x):
     automorphism, listed by enumeration."""
     total, exact = Fraction(0), True
     for sigma in enum_labelled_graph_autos(e.graph):
-        term = e._homog(retraction(apply_gen(sigma, x), e.cone))
+        term = e._homog(retraction(apply_gen(sigma, x), e.cone),
+                        e.partition)
         total += term.value
         exact = exact and term.exact
     return HomogValue(total, exact)
@@ -320,7 +328,8 @@ def full_group_sum(e, x):
 def test_terms_multiplicity_matches_brute_force():
     """An averaged evaluator's multiplicity is the number of automorphisms
     fixing A and B as an ordered pair (so also the cone A | B), and its
-    terms are the distinct images of (A, B), one per coset of them."""
+    images are the distinct images of (A, B), one per coset of them, with
+    (A, B) first."""
     rng = random.Random(5)
     for _ in range(150):
         n = rng.randint(2, 8)
@@ -336,12 +345,13 @@ def test_terms_multiplicity_matches_brute_force():
         images = [(frozenset(s.perm[v] for v in A),
                    frozenset(s.perm[v] for v in B))
                   for s in enum_labelled_graph_autos(g)]
-        e = Evaluator(g, A | B, (A, B), Code("A", Z123), averaged=True)
-        m, ts = e.terms()
+        e = average(Evaluator(g, A | B, (A, B), Code("A", Z123)))
+        m = e.multiplicity
         assert m == images.count((A, B))
-        assert m * len(ts) == len(images)
-        assert {t.partition for t in ts} == set(images)
-        assert all(t.cone == t.partition[0] | t.partition[1] for t in ts)
+        assert m * len(e.images) == len(images)
+        assert {pair for _, pair in e.images} == set(images)
+        assert all(cone == pair[0] | pair[1] for cone, pair in e.images)
+        assert e.images[0] == (A | B, (A, B))
 
 
 @settings(max_examples=150, deadline=None)

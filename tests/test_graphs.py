@@ -93,6 +93,10 @@ PARSE_ERRORS = [
     ("vertex a Z\nedge a", "line 2: syntax error: 'edge a'"),
     ("vertex 1a Z", "line 1: bad vertex id '1a'"),
     ("vertex a Z/x", "line 1: bad label 'Z/x'"),
+    # int() alone takes an underscore, a sign and non-ASCII digits
+    ("vertex a Z/1_0", "line 1: bad label 'Z/1_0'"),
+    ("vertex b Z/+7", "line 1: bad label 'Z/+7'"),
+    ("vertex c Z/\u0663", "line 1: bad label 'Z/\u0663'"),
     ("vertex a Z\nvertex b Q", "line 2: bad label 'Q'"),
     ("", "graph has no vertices"),
     ("# c\n\nvertex a Z\nedge b a", "line 4: undefined endpoint b"),
