@@ -92,9 +92,9 @@ def _add_eval_flags(p):
     p.add_argument("--avg", action="store_true",
                    help="average over labelled graph automorphisms")
     p.add_argument("--max-n", type=int, default=64,
-                   help="homogenisation depth (default 64)")
+                   help="homogenisation depth (default 64, at most 256)")
     p.add_argument("--max-period", type=int, default=8,
-                   help="period search bound (default 8)")
+                   help="period search bound (default 8, at most 63)")
 
 
 def _build_from_flags(g: LabeledGraph, args) -> Evaluator:

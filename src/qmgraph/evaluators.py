@@ -26,10 +26,12 @@ Z-code, is empty or a single run.  Such a code holds no pattern z of
 length 2 or more, and a z of length 1 equals its reverse, so the two
 counts of f_z cancel and f_z(w^n) = 0 for every n (Calegari, *scl*,
 §2.3).  The value is then what the scan returns on the all-zero
-sequence, which at max_n = 2 is 0 flagged inexact.  base(w, (A, B))
-still runs once, as the scan's n = 1 step, so its errors are raised as
-before.  An evaluator that overrides base keeps the scan, because its
-counting function need not vanish on such words.
+sequence, which at max_n = 2 is 0 flagged inexact.  base is not called
+on w to re-check anything: build accepted (A, B), the kind and the scan
+parameters, every image is an automorphism image of (A, B), and r_C(x)
+lies in the image's cone C = A | B, so base could raise nothing there.
+Evaluator is not meant to be subclassed: base dispatches on the kind,
+and the zero holds for the code counts only.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from typing import Union
 
 from . import codes
 from .autos import labelled_aut_group, labelled_isomorphisms
@@ -67,7 +68,7 @@ class SumBothSides:
     z: tuple[int, ...]
 
 
-Kind = Union[Code, WeightedZ, SumBothSides]
+Kind = Code | WeightedZ | SumBothSides
 Pair = tuple[frozenset[int], frozenset[int]]
 
 
@@ -99,9 +100,10 @@ def _single_z2(g: LabeledGraph, S: frozenset[int]) -> bool:
 
 class Evaluator:
     """A (cone, partition, kind) quasimorphism pipeline; build() validates
-    it, the constructor does not.  The value at x is multiplicity times
-    the sum over images (C, (A, B)) of the homogenised base on (A, B) at
-    r_C(x); a plain evaluator's images are its own pair alone."""
+    it, the constructor does not, and nothing after build() checks again.
+    The value at x is multiplicity times the sum over images (C, (A, B))
+    of the homogenised base on (A, B) at r_C(x); a plain evaluator's
+    images are its own pair alone.  Not for subclassing (module docstring)."""
 
     def __init__(self, graph: LabeledGraph, cone: frozenset[int],
                  partition: Pair, kind: Kind,
@@ -123,21 +125,15 @@ class Evaluator:
             return codes.code_qm(w, partition, k.side, k.z)
         if isinstance(k, WeightedZ):
             return codes.weighted_code_qm(w, partition, k.z)
-        if isinstance(k, SumBothSides):
-            return (codes.code_qm(w, partition, "A", k.z)
-                    + codes.code_qm(w, partition, "B", k.z))
-        raise BuildError(f"unknown kind {k!r}")
+        return (codes.code_qm(w, partition, "A", k.z)
+                + codes.code_qm(w, partition, "B", k.z))
 
     def _homog(self, w: NormalWord, partition: Pair) -> HomogValue:
         key = (partition, w.letters)
         got = self._homog_cache.get(key)
         if got is None:
-            if (type(self).base is Evaluator.base
-                    and _syllable_count(w, partition[0]) <= 2):
-                # f(w^n) = 0 for all n (module docstring); the scan's
-                # parameter checks, then its n = 1 step for base's checks
-                got = _all_zero(self.homog_params)
-                self.base(w, partition)
+            if _syllable_count(w, partition[0]) <= 2:
+                got = _all_zero(self.homog_params)  # module docstring
             else:
                 got = homogenise(lambda u: self.base(u, partition), w,
                                  *self.homog_params)
@@ -164,6 +160,8 @@ def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
                 raise BuildError("edge between partition sides")
     if not is_lower_cone(graph, cone):
         raise BuildError("cone is not a lower cone")
+    if not isinstance(kind, Kind):
+        raise BuildError(f"unknown kind {kind!r}")
     z = kind.z
     if not z or any(n < 1 for n in z):
         raise BuildError("pattern entries must be positive")
@@ -172,9 +170,9 @@ def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
     if isinstance(kind, Code) and kind.side not in ("A", "B"):
         raise BuildError("side must be A or B")
     max_n, max_period = homog_params
-    if max_n < 2 or max_period < 1:
+    if not (2 <= max_n <= 256 and 1 <= max_period <= 63):
         raise BuildError("homogenisation needs max_n >= 2 and "
-                         "max_period >= 1")
+                         "max_period >= 1, max_n <= 256 and max_period <= 63")
 
     az = _single_z(graph, A)
     bz = _single_z(graph, B)
@@ -197,7 +195,7 @@ def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
         side = A if kind.side == "A" else B
         if _single_z2(graph, side):
             raise BuildError("chosen side must not be Z/2")
-    elif isinstance(kind, SumBothSides):
+    else:
         if az or bz:
             raise BuildError("SumBothSides needs both sides non-Z")
         if not labeled_isomorphic(graph, A, B):

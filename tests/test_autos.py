@@ -334,6 +334,12 @@ def test_apply_invalid_generator_raises():
             apply_gen(LabelledGraphAut(perm), NormalWord.identity(h))
     with pytest.raises(GraphError, match="expanded graphs"):
         validate_gen(path_graph(["Z/6", "Z/2"]), LabelledGraphAut((0, 1)))
+    unexpanded = parse_graph("vertex a Z/6")
+    for search in (lambda: next(enum_labelled_graph_autos(unexpanded)),
+                   lambda: labelled_aut_group(unexpanded)):
+        with pytest.raises(GraphError, match="^enumeration is defined on "
+                                             "expanded graphs$"):
+            search()
 
 
 def test_aut_word_composition_and_apply():

@@ -242,11 +242,28 @@ def test_homog_has_no_avg_flag(capsys):
 
 
 def test_bad_max_period_is_exit_3(capsys, z5z3_file):
-    code, _, err = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
-                       "--max-period", "0")
-    assert code == 3
-    assert err.startswith("error: ") and "max_period >= 1" in err
+    # below 1, or a scan past max_n 256 or max_period 63, is refused
+    for flags in (("--max-period", "0"), ("--max-n", "257"),
+                  ("--max-period", "64")):
+        code, _, err = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
+                           "--cone", "v0,v1", "--partA", "v0", "--partB",
+                           "v1", *flags)
+        assert code == 3, flags
+        assert err == ("error: homogenisation needs max_n >= 2 and "
+                       "max_period >= 1, max_n <= 256 and max_period <= 63\n")
+
+
+def test_inexact_evaluations_are_skipped_or_refused(capsys, z5z3_file):
+    # at --max-n 2 every value is flagged inexact: defect skips every
+    # sampled pair, and scl refuses to bound the word
+    flags = ("--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+             "--max-n", "2")
+    code, out, _ = run(capsys, "defect", z5z3_file, *flags, "--samples", "10")
+    assert (code, out) == (0, "defect>=0 samples=10 skipped=10\n")
+    code, out, err = run(capsys, "scl", z5z3_file, *flags, "--word",
+                         WITNESS_WORD, "--defect-bound", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: evaluation of x is not exact\n"
 
 
 @pytest.mark.parametrize("cmd,flags,message", [

@@ -165,6 +165,8 @@ def test_homogenise_inexact_reports_bound():
     h = homogenise(f, x, max_n=3, max_period=1)
     assert h == HomogValue(Fraction(f(x ** 3), 3), False)
     assert homogenise(f, x) == HomogValue(Fraction(0), True)
+    with pytest.raises(ValueError, match="^max_period must be >= 1$"):
+        homogenise(f, x, 4, 0)
 
 
 def test_empirical_defect_bounded(z5b):

@@ -1,6 +1,7 @@
 """Evaluator construction rules, averaging, and restriction scaling."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -47,8 +48,9 @@ def test_build_structural_errors():
         build(g, frozenset({0}), part({0}, {1}), Code("A", Z123))
     with pytest.raises(BuildError, match="side must be A or B"):
         build(g, cone, part({0}, {1}), Code("C", Z123))
-    with pytest.raises(BuildError, match="positive"):
-        build(g, cone, part({0}, {1}), Code("A", (1, 0, 2)))
+    for z in ((1, 0, 2), ()):
+        with pytest.raises(BuildError, match="positive"):
+            build(g, cone, part({0}, {1}), Code("A", z))
     with pytest.raises(BuildError, match="not generic"):
         build(g, cone, part({0}, {1}), Code("A", (1, 2)))
 
@@ -56,11 +58,12 @@ def test_build_structural_errors():
 def test_build_rejects_bad_homogenisation_params():
     g = z5z3()
     cone = frozenset({0, 1})
-    for params in ((1, 8), (0, 8), (8, 0), (8, -1)):
+    for params in ((1, 8), (0, 8), (8, 0), (8, -1), (257, 8), (64, 64)):
         with pytest.raises(BuildError, match="max_n >= 2 and max_period"):
             build(g, cone, part({0}, {1}), Code("A", Z123),
                   homog_params=params)
-    build(g, cone, part({0}, {1}), Code("A", Z123), homog_params=(2, 1))
+    for params in ((2, 1), (256, 63)):
+        build(g, cone, part({0}, {1}), Code("A", Z123), homog_params=params)
 
 
 def test_build_rejects_unexpanded_graph():
@@ -106,6 +109,14 @@ def test_build_kind_case_rules():
     h = z5z3()
     with pytest.raises(BuildError, match="needs side A = single Z"):
         build(h, frozenset({0, 1}), part({0}, {1}), WeightedZ(Z123))
+
+    # a kind of no known type is refused at build, before its z is read
+    @dataclass(frozen=True)
+    class Other:
+        z: tuple[int, ...]
+
+    with pytest.raises(BuildError, match="unknown kind"):
+        build(h, frozenset({0, 1}), part({0}, {1}), Other(Z123))
 
 
 def test_build_iso_sides_rules():
@@ -231,41 +242,20 @@ def test_short_words_skip_scan_with_scan_result(params):
             Fraction(0), params != (2, 1))
 
 
-def _outcome(f):
-    try:
-        return f()
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
 def test_short_word_errors_match_scan():
+    # _homog trusts build, which refuses an edge between the sides, a
+    # letter outside A | B, an empty pattern, side "C" and WeightedZ on a
+    # Z/5 side (the test_build_* tests).  Bad scan parameters on a raw
+    # Evaluator still raise as the scan does, through _all_zero
     g = expand(edgeless(["Z/5", "Z/3", "Z/2"]))
-    square = expand(ngon(4, "Z/3"))
-    cases = [
-        # an edge between the sides
-        (Evaluator(square, frozenset({0, 1}), part({0}, {1}),
-                   Code("A", Z123)), parse_word(square, "v0 v1")),
-        # a letter outside A | B
-        (Evaluator(g, frozenset({0, 1, 2}), part({0}, {1}),
-                   Code("A", Z123)), parse_word(g, "v0 v2")),
-        # an empty pattern
-        (Evaluator(g, frozenset({0, 1}), part({0}, {1}), Code("A", ())),
-         parse_word(g, "v0 v1")),
-        # a side that is neither A nor B
-        (Evaluator(g, frozenset({0, 1}), part({0}, {1}), Code("C", Z123)),
-         parse_word(g, "v1")),
-        # a WeightedZ side A that is not one Z vertex
-        (Evaluator(g, frozenset({0, 1}), part({0}, {1}), WeightedZ(Z123)),
-         parse_word(g, "v1 v0")),
-        # homogenisation parameters the scan rejects
-        (Evaluator(g, frozenset({0, 1}), part({0}, {1}), Code("A", Z123),
-                   homog_params=(1, 8)), parse_word(g, "v0")),
-    ]
-    for e, w in cases:
-        got = _outcome(lambda: e._homog(w, e.partition))
-        assert isinstance(got, tuple), got
-        assert got == _outcome(lambda: homogenise(
-            lambda u: e.base(u, e.partition), w, *e.homog_params))
+    e = Evaluator(g, frozenset({0, 1}), part({0}, {1}), Code("A", Z123),
+                  homog_params=(1, 8))
+    w = parse_word(g, "v0")
+    for scan in (lambda: e._homog(w, e.partition),
+                 lambda: homogenise(lambda u: e.base(u, e.partition), w,
+                                    *e.homog_params)):
+        with pytest.raises(ValueError, match="^max_n must be >= 2$"):
+            scan()
 
 
 def test_average_sets_images_and_multiplicity():

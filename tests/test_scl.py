@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qmgraph.evaluators import Code, Evaluator, average, build, evaluate
+from qmgraph import scl
+from qmgraph.codes import HomogValue
+from qmgraph.evaluators import (Code, Evaluator, WeightedZ, average, build,
+                                evaluate)
 from qmgraph.graphs import GraphError, expand, parse_graph
 from qmgraph.scl import (HEURISTIC, RIGOROUS, DefectEstimate, estimate_defect,
                          scl_aut_lower_bound)
@@ -57,20 +60,33 @@ def test_estimate_defect_deterministic():
     assert (a.empirical_max, a.skipped) == (b.empirical_max, b.skipped)
 
 
-class _ExponentSum(Evaluator):
-    """A genuine homomorphism: defect must come out exactly zero."""
-
-    def base(self, w, partition):
-        return sum(e for v, e in w.letters if v in partition[0])
-
-
-def test_homomorphism_has_zero_defect():
+def test_homomorphism_has_zero_defect(monkeypatch):
+    # the exponent sum on the Z vertex is a homomorphism Z * Z/3 -> Z;
+    # evaluated in place of the quasimorphism, its defect is exactly 0
     g = expand(edgeless(["Z", "Z/3"]))
-    e = _ExponentSum(g, frozenset({0, 1}),
-                     (frozenset({0}), frozenset({1})),
-                     Code("A", (1, 2, 3)), homog_params=(10, 2))
+    e = build(g, frozenset({0, 1}), (frozenset({0}), frozenset({1})),
+              WeightedZ((1, 2, 3)), homog_params=(10, 2))
+
+    def exponent_sum(e, x):
+        return HomogValue(Fraction(sum(k for v, k in x.letters
+                                       if v in e.partition[0])), True)
+
+    monkeypatch.setattr(scl, "evaluate", exponent_sum)
     d = estimate_defect(e, samples=30, max_len=8, seed=2)
     assert d.empirical_max == 0 and d.skipped == 0
+
+
+def test_inexact_evaluations_are_skipped_or_refused():
+    # at max_n = 2 the scan sees one increment and flags every value
+    # inexact: each sampled pair is skipped, and no bound is given
+    g, e = z5z3_eval(homog=(2, 8))
+    d = estimate_defect(e, samples=10, max_len=6, seed=0)
+    assert (d.empirical_max, d.samples, d.skipped) == (0, 10, 10)
+    assert not d.vacuous
+    x = parse_word(g, WITNESS)
+    d = DefectEstimate(Fraction(0), 0, 6, 0, user_bound=Fraction(1))
+    with pytest.raises(ValueError, match="^evaluation of x is not exact$"):
+        scl_aut_lower_bound(e, x, d)
 
 
 def test_sampled_defect_regression_z5z3():

@@ -27,6 +27,7 @@ def test_parse_identity_and_errors():
     g = z5z3()
     assert not parse_word(g, "e").letters
     assert not parse_word(g, "").letters
+    assert str(NormalWord.identity(g)) == "e"
     with pytest.raises(WordError):
         parse_word(g, "v9")
     with pytest.raises(WordError):
