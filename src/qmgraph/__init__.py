@@ -14,7 +14,7 @@ from .autos import (AutError, LabelledGraphAut, FactorAut, Transvection,
                     valid_aut0_gens, random_aut0)
 from .evaluators import (Evaluator, BuildError, Code, WeightedZ,
                          SumBothSides, build, evaluate, average,
-                         labeled_isomorphic)
+                         labeled_isomorphic, pair_kind)
 from .decide import (Verdict, WitnessSpec, decide, find_invariant_cones,
                      witness)
 from .scl import (DefectEstimate, estimate_defect, scl_aut_lower_bound)

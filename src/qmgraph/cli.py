@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .evaluators import (Code, Evaluator, SumBothSides, WeightedZ, average,
-                         build, evaluate)
+from .evaluators import (DEFAULT_Z, BuildError, Code, Evaluator, average,
+                         build, evaluate, pair_kind)
 from .decide import (EXISTS_CONSTRUCTIVE, decide, find_invariant_cones,
                      witness)
 from .scl import DefectEstimate, estimate_defect, scl_aut_lower_bound
@@ -81,14 +81,13 @@ def _ztuple(arg: str):
 
 
 def _add_eval_flags(p):
-    p.add_argument("--cone", required=True, help="comma-separated vertices")
     p.add_argument("--partA", required=True, help="side A vertices")
-    p.add_argument("--partB", required=True, help="side B vertices")
-    p.add_argument("--kind", choices=["code", "wz", "sum"], default="code",
-                   help="evaluator kind (default code)")
-    p.add_argument("--side", choices=["A", "B"], default="A",
-                   help="code side (default A)")
-    p.add_argument("--z", default="1,2,3", help="generic pattern (default 1,2,3)")
+    p.add_argument("--partB", required=True, help="side B vertices; the "
+                   "cone is A | B and the kind follows from the sides")
+    p.add_argument("--side", choices=["A", "B"], default=None,
+                   help="code side (default A, or B if A is one Z/2 vertex)")
+    z = ",".join(map(str, DEFAULT_Z))
+    p.add_argument("--z", default=z, help=f"generic pattern (default {z})")
     p.add_argument("--avg", action="store_true",
                    help="average over labelled graph automorphisms")
     p.add_argument("--max-n", type=int, default=64,
@@ -98,15 +97,14 @@ def _add_eval_flags(p):
 
 
 def _build_from_flags(g: LabeledGraph, args) -> Evaluator:
-    z = _ztuple(args.z)
-    if args.kind == "code":
-        kind = Code(args.side, z)
-    elif args.kind == "wz":
-        kind = WeightedZ(z)
-    else:
-        kind = SumBothSides(z)
-    e = build(g, _vset(g, args.cone),
-              (_vset(g, args.partA), _vset(g, args.partB)), kind,
+    A, B, z = _vset(g, args.partA), _vset(g, args.partB), _ztuple(args.z)
+    try:
+        A, B, kind = pair_kind(g, A, B, z, args.side)
+    except BuildError:
+        # build raises too: a fault of the pair's structure first, as
+        # for any kind, else the reason pair_kind gave
+        kind = Code(args.side or "A", z)
+    e = build(g, A | B, (A, B), kind,
               homog_params=(args.max_n, args.max_period))
     return average(e) if args.avg else e
 

@@ -28,9 +28,6 @@ EXISTS_CONSTRUCTIVE = "ExistsConstructive"
 EXISTS_NONCONSTRUCTIVE = "ExistsNonConstructive"
 UNKNOWN = "Unknown"
 
-DEFAULT_Z = (1, 2, 3)
-
-
 @dataclass(frozen=True)
 class WitnessSpec:
     cone: frozenset[int]
@@ -55,26 +52,6 @@ def _sorted_sets(sets) -> list[frozenset[int]]:
     return sorted(sets, key=lambda s: sorted(s))
 
 
-def _kind_for_pair(g: LabeledGraph, A: frozenset[int], B: frozenset[int]
-                   ) -> Optional[tuple]:
-    """Pick an evaluator kind for the free pair (A, B), or None for a
-    Z * Z or Z/2 * Z/2 base, which has none.  Returns (A, B, kind) with A
-    swapped to the infinite-cyclic side when WeightedZ applies."""
-    az, bz = _single_z(g, A), _single_z(g, B)
-    if az and bz:
-        return None
-    if az or bz:
-        if bz:
-            A, B = B, A
-        return (A, B, ev.WeightedZ(DEFAULT_Z))
-    if ev.labeled_isomorphic(g, A, B):
-        if _single_z2(g, A):
-            return None
-        return (A, B, ev.SumBothSides(DEFAULT_Z))
-    side = "A" if not _single_z2(g, A) else "B"
-    return (A, B, ev.Code(side, DEFAULT_Z))
-
-
 _SPLIT = ": cone {cone} splits as {A} * {B} ({kind})"
 
 
@@ -85,22 +62,22 @@ def _first_spec(g: LabeledGraph, pairs: Iterable[tuple], trace: list[str],
     with the fields cone, A, B (vertex names), nA, nB (side sizes) and
     kind, goes on the trace.  The cone, the cheaper test, goes first.
 
-    evaluators.build accepts the spec: its other checks hold for every
-    candidate.
+    evaluators.build accepts the spec: the kind is pair_kind's, and its
+    other checks hold for every candidate.
     - A and B are disjoint and non-adjacent, and each is connected: a
       component, a finite or free-abelian class (a clique), or a vertex.
-    - g is expanded, and DEFAULT_Z is generic.
-    - _kind_for_pair returns WeightedZ with A on the Z side, SumBothSides
-      only for isomorphic sides that are not Z/2, and Code only for
-      sides that are not isomorphic, on a side that is not Z/2."""
+    - g is expanded, and DEFAULT_Z is generic."""
     for A, B in pairs:
-        picked = is_lower_cone(g, A | B) and _kind_for_pair(g, A, B)
-        if picked:
-            A, B, kind = picked
-            trace.append(line.format(cone=_names(g, A | B), A=_names(g, A),
-                                     B=_names(g, B), nA=len(A), nB=len(B),
-                                     kind=type(kind).__name__))
-            return WitnessSpec(A | B, (A, B), kind)
+        if not is_lower_cone(g, A | B):
+            continue
+        try:
+            A, B, kind = ev.pair_kind(g, A, B)
+        except ev.BuildError:
+            continue
+        trace.append(line.format(cone=_names(g, A | B), A=_names(g, A),
+                                 B=_names(g, B), nA=len(A), nB=len(B),
+                                 kind=type(kind).__name__))
+        return WitnessSpec(A | B, (A, B), kind)
     return None
 
 

@@ -71,6 +71,8 @@ class SumBothSides:
 Kind = Code | WeightedZ | SumBothSides
 Pair = tuple[frozenset[int], frozenset[int]]
 
+DEFAULT_Z = (1, 2, 3)
+
 
 def labeled_isomorphic(g: LabeledGraph, X: frozenset[int],
                        Y: frozenset[int]) -> bool:
@@ -96,6 +98,37 @@ def _single_z(g: LabeledGraph, S: frozenset[int]) -> bool:
 
 def _single_z2(g: LabeledGraph, S: frozenset[int]) -> bool:
     return len(S) == 1 and g.labels[next(iter(S))].order == 2
+
+
+def pair_kind(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
+              z: tuple[int, ...] = DEFAULT_Z, side: str | None = None
+              ) -> tuple[frozenset[int], frozenset[int], Kind]:
+    """The evaluator kind of the free pair (A, B), as (A, B, kind): the
+    one rule build, decide and the CLI share.  WeightedZ when one side is
+    a single Z vertex, which becomes side A; SumBothSides when the sides
+    are isomorphic; else Code, on `side`, or on A unless A is a single
+    Z/2 vertex.  A Z * Z, Z/2 * Z/2 or Z/2 code side has no kind."""
+    az, bz = _single_z(g, A), _single_z(g, B)
+    if az and bz:
+        raise BuildError("non-constructive base (F2)")
+    if az or bz:
+        return (A, B, WeightedZ(z)) if az else (B, A, WeightedZ(z))
+    if labeled_isomorphic(g, A, B):
+        if _single_z2(g, A):
+            raise BuildError("sides must not be Z/2 (D-infinity base)")
+        return A, B, SumBothSides(z)
+    if side is None:
+        side = "B" if _single_z2(g, A) else "A"
+    if _single_z2(g, A if side == "A" else B):
+        raise BuildError("chosen side must not be Z/2")
+    return A, B, Code(side, z)
+
+
+_WHY = {WeightedZ: "a side is a single Z vertex; use WeightedZ with it "
+                   "as side A",
+        SumBothSides: "sides isomorphic; use SumBothSides",
+        Code: "no side is a single Z vertex and the sides are not "
+              "isomorphic; use Code"}
 
 
 class Evaluator:
@@ -143,7 +176,8 @@ class Evaluator:
 
 def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
           kind: Kind, homog_params: tuple[int, int] = (64, 8)) -> Evaluator:
-    """Validate the evaluator invariants and the kind's case conditions."""
+    """Validate the evaluator invariants; the kind must be the one
+    pair_kind gives the pair for the kind's own z and side."""
     cone = frozenset(cone)
     A, B = frozenset(partition[0]), frozenset(partition[1])
     if not graph.is_expanded():
@@ -174,34 +208,15 @@ def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
         raise BuildError("homogenisation needs max_n >= 2 and "
                          "max_period >= 1, max_n <= 256 and max_period <= 63")
 
-    az = _single_z(graph, A)
-    bz = _single_z(graph, B)
-    if az and bz:
-        raise BuildError("non-constructive base (F2)")
     for name, S in (("A", A), ("B", B)):
         if len(S) > 1 and len(connected_components(graph, S)) > 1:
             raise BuildError(
                 f"side {name} is a nontrivial free product; "
                 "split it into factors instead")
-    if isinstance(kind, WeightedZ):
-        if not az:
-            raise BuildError("WeightedZ needs side A = single Z vertex")
-    elif isinstance(kind, Code):
-        if az or bz:
-            raise BuildError("Code kind needs both sides non-Z; "
-                             "use WeightedZ for a Z side")
-        if labeled_isomorphic(graph, A, B):
-            raise BuildError("sides isomorphic; use SumBothSides")
-        side = A if kind.side == "A" else B
-        if _single_z2(graph, side):
-            raise BuildError("chosen side must not be Z/2")
-    else:
-        if az or bz:
-            raise BuildError("SumBothSides needs both sides non-Z")
-        if not labeled_isomorphic(graph, A, B):
-            raise BuildError("sides not isomorphic; use Code")
-        if _single_z2(graph, A):
-            raise BuildError("sides must not be Z/2 (D-infinity base)")
+    want = pair_kind(graph, A, B, z, getattr(kind, "side", None))
+    if want != (A, B, kind):
+        raise BuildError(f"{type(kind).__name__} does not fit this pair: "
+                         f"{_WHY[type(want[2])]}")
     return Evaluator(graph, cone, (A, B), kind, homog_params)
 
 

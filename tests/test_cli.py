@@ -152,14 +152,14 @@ def test_autos_refuses_a_group_too_large_to_list(capsys, tmp_path):
 
 def test_eval_value_line(capsys, z5z3_file):
     code, out, _ = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1")
+                       "--partA", "v0", "--partB", "v1")
     assert code == 0
     assert out.strip() == "value=1 exact=True"
 
 
 def test_eval_json_and_avg(capsys, z5z3_file):
     code, out, _ = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                       "--partA", "v0", "--partB", "v1",
                        "--avg", "--json")
     assert code == 0
     doc = json.loads(out)
@@ -171,8 +171,8 @@ def test_eval_inexact_prints_no_error_bound(capsys):
     # exactly to 0 at the defaults
     ngon5 = os.path.join(corpus_dir(), "ngon_5_z2.graph")
     flags = ("--word", "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
-             "v3 v0 v3 v0 v3 v0 v2", "--cone", "v0,v2,v3", "--partA", "v0",
-             "--partB", "v2,v3", "--side", "B")
+             "v3 v0 v3 v0 v3 v0 v2", "--partA", "v0", "--partB", "v2,v3",
+             "--side", "B")
     shallow = ("--max-n", "3", "--max-period", "1")
     code, out, _ = run(capsys, "eval", ngon5, *flags, *shallow)
     assert (code, out) == (0, "value=0 exact=False\n")
@@ -188,8 +188,8 @@ def test_eval_single_increment_is_not_exact(capsys):
     # increment, -1, which is no evidence of a period; the limit is 0
     ngon5 = os.path.join(corpus_dir(), "ngon_5_z2.graph")
     flags = ("--word", "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
-             "v3 v0 v3 v0 v3 v0 v2", "--cone", "v0,v2,v3", "--partA", "v0",
-             "--partB", "v2,v3", "--side", "B")
+             "v3 v0 v3 v0 v3 v0 v2", "--partA", "v0", "--partB", "v2,v3",
+             "--side", "B")
     for period in ("1", "2"):
         code, out, _ = run(capsys, "eval", ngon5, *flags, "--max-n", "2",
                            "--max-period", period)
@@ -201,8 +201,7 @@ def test_eval_single_increment_is_not_exact(capsys):
 
 def test_homog_subcommand(capsys, z5z3_file):
     # homog was eval without --avg; it is gone and eval gives its value
-    flags = ("--word", WITNESS_WORD, "--cone", "v0,v1", "--partA", "v0",
-             "--partB", "v1")
+    flags = ("--word", WITNESS_WORD, "--partA", "v0", "--partB", "v1")
     code, out, err = run(capsys, "homog", z5z3_file, *flags)
     assert code == 1 and out == ""
     assert "invalid choice: 'homog'" in err
@@ -213,8 +212,7 @@ def test_homog_subcommand(capsys, z5z3_file):
 def test_max_n_env_override(capsys, z5z3_file, monkeypatch):
     # --max-n reaches the limit detector; QMGRAPH_MAX_N is not read, so
     # neither an invalid nor a non-integer value changes anything
-    flags = ("--word", WITNESS_WORD, "--cone", "v0,v1", "--partA", "v0",
-             "--partB", "v1")
+    flags = ("--word", WITNESS_WORD, "--partA", "v0", "--partB", "v1")
     code, _, err = run(capsys, "eval", z5z3_file, *flags, "--max-n", "1")
     assert code == 3
     assert err.startswith("error: ") and "max_n >= 2" in err
@@ -230,8 +228,7 @@ def test_homog_has_no_avg_flag(capsys):
     cube = os.path.join(corpus_dir(), "cube_3_z3.graph")
     word = ("v0 v3 v0^2 v3 v0^2 v3 v0 v3 v0 v3 v0 v3 "
             "v0^2 v3 v0^2 v3 v0^2 v3 v0^2 v3")
-    flags = ("--word", word, "--cone", "v0,v3", "--partA", "v0",
-             "--partB", "v3", "--kind", "sum")
+    flags = ("--word", word, "--partA", "v0", "--partB", "v3")
     code, out, _ = run(capsys, "eval", cube, *flags)
     assert (code, out.split()[0]) == (0, "value=1")
     code, out, _ = run(capsys, "eval", cube, *flags, "--avg")
@@ -246,8 +243,7 @@ def test_bad_max_period_is_exit_3(capsys, z5z3_file):
     for flags in (("--max-period", "0"), ("--max-n", "257"),
                   ("--max-period", "64")):
         code, _, err = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
-                           "--cone", "v0,v1", "--partA", "v0", "--partB",
-                           "v1", *flags)
+                           "--partA", "v0", "--partB", "v1", *flags)
         assert code == 3, flags
         assert err == ("error: homogenisation needs max_n >= 2 and "
                        "max_period >= 1, max_n <= 256 and max_period <= 63\n")
@@ -256,8 +252,7 @@ def test_bad_max_period_is_exit_3(capsys, z5z3_file):
 def test_inexact_evaluations_are_skipped_or_refused(capsys, z5z3_file):
     # at --max-n 2 every value is flagged inexact: defect skips every
     # sampled pair, and scl refuses to bound the word
-    flags = ("--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
-             "--max-n", "2")
+    flags = ("--partA", "v0", "--partB", "v1", "--max-n", "2")
     code, out, _ = run(capsys, "defect", z5z3_file, *flags, "--samples", "10")
     assert (code, out) == (0, "defect>=0 samples=10 skipped=10\n")
     code, out, err = run(capsys, "scl", z5z3_file, *flags, "--word",
@@ -273,8 +268,8 @@ def test_inexact_evaluations_are_skipped_or_refused(capsys, z5z3_file):
 ])
 def test_bad_defect_sampling_is_exit_3(capsys, z5z3_file, cmd, flags,
                                        message):
-    code, out, err = run(capsys, cmd, z5z3_file, "--cone", "v0,v1",
-                         "--partA", "v0", "--partB", "v1", *flags)
+    code, out, err = run(capsys, cmd, z5z3_file, "--partA", "v0",
+                         "--partB", "v1", *flags)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and message in err
 
@@ -287,6 +282,73 @@ def test_witness_command(capsys, z5z3_file):
     assert "kind=Code" in lines[1]
 
 
+def _corpus_witnesses(capsys):
+    """(graph path, witness word, spec line fields) for every corpus graph
+    that witness answers."""
+    out = []
+    for name in sorted(os.listdir(corpus_dir())):
+        path = os.path.join(corpus_dir(), name)
+        if name.endswith(".graph"):
+            code, text, _ = run(capsys, "witness", path)
+            if code == 0:
+                word, spec = text.splitlines()
+                out.append((path, word, dict(f.split("=")
+                                             for f in spec.split())))
+    return out
+
+
+def test_witness_spec_line_is_enough_to_eval(capsys):
+    # the spec line's partA and partB fix the cone and the kind
+    witnesses = _corpus_witnesses(capsys)
+    assert len(witnesses) == 14
+    for path, word, spec in witnesses:
+        sides = ("--partA", spec["partA"], "--partB", spec["partB"])
+        code, out, err = run(capsys, "eval", path, "--word", word, *sides)
+        assert (code, out, err) == (0, "value=1 exact=True\n", ""), path
+        code, out, err = run(capsys, "scl", path, "--word", word, *sides,
+                             "--defect-bound", "1")
+        if path.endswith("an_2_mixed.graph"):
+            assert (code, out, err) == (
+                3, "", "error: scl bound requires a trivial center\n")
+        else:
+            assert (code, out, err) == (
+                0, "scl_aut_lb=1/2 mode=rigorous-given-bound\n", ""), path
+
+
+@pytest.mark.parametrize("flag,value", [("--cone", "v0,v1"),
+                                        ("--kind", "code")])
+def test_cone_and_kind_flags_are_gone(capsys, z5z3_file, flag, value):
+    sides = ("--partA", "v0", "--partB", "v1")
+    for argv in (["eval", z5z3_file, "--word", WITNESS_WORD],
+                 ["scl", z5z3_file, "--word", WITNESS_WORD],
+                 ["defect", z5z3_file]):
+        code, out, err = run(capsys, *argv, *sides, flag, value)
+        assert (code, out) == (1, ""), argv
+        assert f"unrecognized arguments: {flag} {value}" in err
+        code, out, _ = run(capsys, argv[0], "--help")
+        assert flag not in out
+
+
+def test_a_single_z_side_b_becomes_side_a(capsys, tmp_path, monkeypatch):
+    # --partA t --partB a, with a the only Z vertex: WeightedZ on (a, t)
+    g = _write(tmp_path, "zz3.graph", ["vertex t Z/3", "vertex a Z"])
+    code, text, _ = run(capsys, "witness", g)
+    assert (code, text.splitlines()[1]) == (
+        0, "cone=t,a partA=a partB=t kind=WeightedZ")
+    built = []
+
+    def spy(graph, cone, partition, kind, **kw):
+        built.append((graph.names_of(partition[0]),
+                      graph.names_of(partition[1]), kind))
+        return evaluators.build(graph, cone, partition, kind, **kw)
+
+    monkeypatch.setattr(cli, "build", spy)
+    code, out, _ = run(capsys, "eval", g, "--word", text.splitlines()[0],
+                       "--partA", "t", "--partB", "a")
+    assert (code, out) == (0, "value=1 exact=True\n")
+    assert built == [(["a"], ["t"], evaluators.WeightedZ((1, 2, 3)))]
+
+
 def test_witness_without_construction(capsys, tmp_path):
     p = tmp_path / "g.graph"
     p.write_text("vertex a Z/2\nvertex b Z/2\n")
@@ -297,7 +359,7 @@ def test_witness_without_construction(capsys, tmp_path):
 
 def test_defect_command(capsys, z5z3_file):
     code, out, _ = run(capsys, "defect", z5z3_file,
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                       "--partA", "v0", "--partB", "v1",
                        "--samples", "6", "--max-len", "6", "--seed", "1",
                        "--max-n", "8", "--max-period", "2")
     assert code == 0
@@ -307,7 +369,7 @@ def test_defect_command(capsys, z5z3_file):
 
 def test_scl_rigorous(capsys, z5z3_file):
     code, out, _ = run(capsys, "scl", z5z3_file, "--word", WITNESS_WORD,
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                       "--partA", "v0", "--partB", "v1",
                        "--defect-bound", "12")
     assert code == 0
     assert out.strip() == "scl_aut_lb=1/24 mode=rigorous-given-bound"
@@ -316,7 +378,7 @@ def test_scl_rigorous(capsys, z5z3_file):
 @pytest.mark.parametrize("bound", ["1/0", "abc"])
 def test_bad_defect_bound_is_usage_error(capsys, z5z3_file, bound):
     code, out, err = run(capsys, "scl", z5z3_file, "--word", WITNESS_WORD,
-                         "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                         "--partA", "v0", "--partB", "v1",
                          "--defect-bound", bound)
     assert code == 1 and out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
@@ -331,7 +393,7 @@ def test_bad_defect_bound_is_usage_error(capsys, z5z3_file, bound):
 def test_nonpositive_defect_bound_is_exit_3(capsys, z5z3_file, bound,
                                             message):
     code, out, err = run(capsys, "scl", z5z3_file, "--word", WITNESS_WORD,
-                         "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                         "--partA", "v0", "--partB", "v1",
                          f"--defect-bound={bound}")
     assert code == 3 and out == ""
     assert err == f"error: {message}\n"
@@ -339,7 +401,7 @@ def test_nonpositive_defect_bound_is_exit_3(capsys, z5z3_file, bound,
 
 def test_scl_heuristic_json(capsys, z5z3_file):
     code, out, _ = run(capsys, "scl", z5z3_file, "--word", WITNESS_WORD,
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                       "--partA", "v0", "--partB", "v1",
                        "--samples", "30", "--max-len", "12", "--seed", "7",
                        "--max-n", "10", "--max-period", "2", "--json")
     assert code == 0
@@ -355,7 +417,7 @@ def test_usage_error_is_exit_1(capsys, z5z3_file):
     code, _, _ = run(capsys, "no-such-command")
     assert code == 1
     code, out, err = run(capsys, "eval", z5z3_file, "--word", "v0",
-                         "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
+                         "--partA", "v0", "--partB", "v1",
                          "--z", "1,x")
     assert (code, out, err) == (1, "", "error: invalid pattern '1,x'\n")
 
@@ -376,14 +438,14 @@ def test_parse_error_is_exit_2(capsys, tmp_path):
 
 def test_bad_word_is_exit_2(capsys, z5z3_file):
     code, _, err = run(capsys, "eval", z5z3_file, "--word", "zz",
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1")
+                       "--partA", "v0", "--partB", "v1")
     assert code == 2
     assert "unknown vertex" in err
 
 
-@pytest.mark.parametrize("flag", ["--cone", "--partA", "--partB"])
+@pytest.mark.parametrize("flag", ["--partA", "--partB"])
 def test_unknown_vertex_in_a_set_flag_is_exit_2(capsys, z5z3_file, flag):
-    sets = {"--cone": "v0,v1", "--partA": "v0", "--partB": "v1"}
+    sets = {"--partA": "v0", "--partB": "v1"}
     sets[flag] += ",nope"
     flags = [s for pair in sets.items() for s in pair]
     for argv in (["eval", z5z3_file, "--word", "v0"],
@@ -392,22 +454,35 @@ def test_unknown_vertex_in_a_set_flag_is_exit_2(capsys, z5z3_file, flag):
             2, "", "parse error: unknown vertex nope\n")
 
 
-def test_math_error_is_exit_3(capsys, z5z3_file):
-    # F2-style request: WeightedZ on a torsion side
-    code, _, err = run(capsys, "eval", z5z3_file, "--word", "v0",
-                       "--cone", "v0,v1", "--partA", "v0", "--partB", "v1",
-                       "--kind", "wz")
-    assert code == 3
-    assert "single Z vertex" in err
+def test_math_error_is_exit_3(capsys, tmp_path):
+    # two single Z sides: the F2 base has no evaluator kind
+    f2 = _write(tmp_path, "f2.graph", ["vertex a Z", "vertex b Z"])
+    code, out, err = run(capsys, "eval", f2, "--word", "a",
+                         "--partA", "a", "--partB", "b")
+    assert (code, out, err) == (3, "", "error: non-constructive base (F2)\n")
 
 
 def test_partition_edge_is_exit_3(capsys, tmp_path):
     p = tmp_path / "g.graph"
     p.write_text("vertex a Z/5\nvertex b Z/3\nedge a b\n")
     code, _, err = run(capsys, "eval", str(p), "--word", "a",
-                       "--cone", "a,b", "--partA", "a", "--partB", "b")
+                       "--partA", "a", "--partB", "b")
     assert code == 3
     assert "edge between partition sides" in err
+
+
+@pytest.mark.parametrize("label", ["Z", "Z/2"])
+def test_malformed_pair_without_a_kind_gets_the_structural_error(
+        capsys, tmp_path, label):
+    # a Z * Z or Z/2 * Z/2 pair has no kind, but a pair that is no free
+    # splitting is reported as such first, as build reports it
+    g = _write(tmp_path, "g.graph", [f"vertex a {label}",
+                                     f"vertex b {label}", "edge a b"])
+    for sides, message in ((("a", "b"), "edge between partition sides"),
+                           (("a", "a"), "partition parts overlap")):
+        code, out, err = run(capsys, "eval", g, "--word", "a", "--partA",
+                             sides[0], "--partB", sides[1])
+        assert (code, out, err) == (3, "", f"error: {message}\n"), sides
 
 
 def _write(tmp_path, name, lines):
@@ -434,7 +509,7 @@ def test_search_budget_is_exit_3(capsys, tmp_path):
                     + [f"vertex v{i} Z/2" for i in range(15)])
     code, out, _ = run(capsys, "eval", free17, "--avg", "--word",
                        WITNESS_WORD.replace("v0", "a").replace("v1", "b"),
-                       "--cone", "a,b", "--partA", "a", "--partB", "b")
+                       "--partA", "a", "--partB", "b")
     # the 15! automorphisms all fix a and b, each adding the value 1
     assert (code, out) == (0, f"value={math.factorial(15)} exact=True\n")
     # the path's 17 ~_tau classes are 2^17 cone candidates
@@ -501,9 +576,8 @@ def _eval_avg_on_star(capsys, tmp_path, monkeypatch, k):
                             raising=False)
     word = ("l0 l1 l0^2 l1 l0^2 l1 l0 l1 l0 l1 l0 l1 l0^2 l1 l0^2 l1 "
             "l0^2 l1 l0^2 l1")
-    code, out, _ = run(capsys, "eval", star, "--avg", "--kind", "sum",
-                       "--cone", "l0,l1", "--partA", "l0", "--partB", "l1",
-                       "--word", word)
+    code, out, _ = run(capsys, "eval", star, "--avg", "--partA", "l0",
+                       "--partB", "l1", "--word", word)
     return code, out, applied
 
 
