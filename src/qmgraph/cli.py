@@ -90,10 +90,6 @@ def _add_eval_flags(p):
     p.add_argument("--z", default=z, help=f"generic pattern (default {z})")
     p.add_argument("--avg", action="store_true",
                    help="average over labelled graph automorphisms")
-    p.add_argument("--max-n", type=int, default=64,
-                   help="homogenisation depth (default 64, at most 256)")
-    p.add_argument("--max-period", type=int, default=8,
-                   help="period search bound (default 8, at most 63)")
 
 
 def _build_from_flags(g: LabeledGraph, args) -> Evaluator:
@@ -104,8 +100,7 @@ def _build_from_flags(g: LabeledGraph, args) -> Evaluator:
         # build raises too: a fault of the pair's structure first, as
         # for any kind, else the reason pair_kind gave
         kind = Code(args.side or "A", z)
-    e = build(g, A | B, (A, B), kind,
-              homog_params=(args.max_n, args.max_period))
+    e = build(g, A | B, (A, B), kind)
     return average(e) if args.avg else e
 
 

@@ -122,46 +122,46 @@ class HomogValue:
     exact: bool
 
 
-def homogenise(f: Callable[[NormalWord], int], x: NormalWord,
-               max_n: int = 64, max_period: int = 8) -> HomogValue:
+MAX_N = 64
+MAX_PERIOD = 8
+
+
+def homogenise(f: Callable[[NormalWord], int], x: NormalWord) -> HomogValue:
     """Limit of f(x^n)/n, detected through eventually periodic increments.
 
-    Scans s_n = f(x^n) for n = 1..max_n.  If for some period p <= max_period
+    Scans s_n = f(x^n) for n = 1..MAX_N.  If for some period p <= MAX_PERIOD
     the differences s_{n+p} - s_n are constant c from some offset n0 <=
-    max_n/2 onward, over at least two differences, the limit is exactly
-    c/p.  Otherwise returns the approximation s_max/max_n, flagged inexact.
+    n/2 onward, the limit is taken to be c/p and flagged exact.
+    Otherwise returns the approximation s_MAX_N/MAX_N, flagged inexact.
+    The flag is not a proof: where the increments repeat only with a
+    period above MAX_PERIOD, as a long pattern z can make them, a value
+    flagged exact can be wrong.  The depth is fixed, so the cost is at
+    most MAX_N powers of x and grows linearly with the length of x.
     """
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2")
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
 
     def detect(s, n):
-        for p in range(1, max_period + 1):
-            if n - p < 1:
-                break
+        for p in range(1, MAX_PERIOD + 1):
             diffs = [s[m + p] - s[m] for m in range(1, n - p + 1)]
             c = diffs[-1]
             n0 = len(diffs)
             while n0 > 0 and diffs[n0 - 1] == c:
                 n0 -= 1
-            # diffs[n0:] constant; corresponds to offset n0 + 1 in s.  A
-            # single difference is constant by itself and shows nothing;
-            # once max_n >= 2 * (max_period + 1) the run always has two
-            if n0 + 1 <= n / 2 and len(diffs) - n0 >= 2:
+            # diffs[n0:] constant; corresponds to offset n0 + 1 in s.  From
+            # n >= floor on, such a run holds at least two differences
+            if n0 + 1 <= n / 2:
                 return HomogValue(Fraction(c, p), True)
         return None
 
     # a period only counts once its constant run fills half a window of
     # at least this many powers; scanning more cannot change the limit
-    floor = min(max_n, max(8, 2 * (max_period + 1)))
+    floor = 2 * (MAX_PERIOD + 1)
     s = [0]  # s[0] for the identity power
     xn = NormalWord.identity(x.graph)
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         xn = xn * x
         s.append(f(xn))
         if n >= floor:
             got = detect(s, n)
             if got is not None:
                 return got
-    return HomogValue(Fraction(s[max_n], max_n), False)
+    return HomogValue(Fraction(s[MAX_N], MAX_N), False)

@@ -25,11 +25,11 @@ in one side, or is (ab)^n, and each side code of w^n, and the weighted
 Z-code, is empty or a single run.  Such a code holds no pattern z of
 length 2 or more, and a z of length 1 equals its reverse, so the two
 counts of f_z cancel and f_z(w^n) = 0 for every n (Calegari, *scl*,
-§2.3).  The value is then what the scan returns on the all-zero
-sequence, which at max_n = 2 is 0 flagged inexact.  base is not called
-on w to re-check anything: build accepted (A, B), the kind and the scan
-parameters, every image is an automorphism image of (A, B), and r_C(x)
-lies in the image's cone C = A | B, so base could raise nothing there.
+§2.3).  The value is then _ZERO, 0 flagged exact, as the scan returns
+on the all-zero sequence.  base is not called on w to re-check
+anything: build accepted (A, B) and the kind, every image is an
+automorphism image of (A, B), and r_C(x) lies in the image's cone
+C = A | B, so base could raise nothing there.
 Evaluator is not meant to be subclassed: base dispatches on the kind,
 and the zero holds for the code counts only.
 """
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 
 from . import codes
@@ -85,11 +84,7 @@ def _syllable_count(w: NormalWord, A: frozenset[int]) -> int:
     return sum(1 for _ in groupby(w.letters, lambda letter: letter[0] in A))
 
 
-@lru_cache(maxsize=None)
-def _all_zero(homog_params: tuple[int, int]) -> HomogValue:
-    """The scan's value when every f(w^n) is 0; only the parameters count."""
-    return homogenise(lambda _: 0, NormalWord.identity(LabeledGraph((), ())),
-                      *homog_params)
+_ZERO = HomogValue(Fraction(0), True)  # a short word's value
 
 
 def _single_z(g: LabeledGraph, S: frozenset[int]) -> bool:
@@ -139,13 +134,11 @@ class Evaluator:
     images are its own pair alone.  Not for subclassing (module docstring)."""
 
     def __init__(self, graph: LabeledGraph, cone: frozenset[int],
-                 partition: Pair, kind: Kind,
-                 homog_params: tuple[int, int] = (64, 8)):
+                 partition: Pair, kind: Kind):
         self.graph = graph
         self.cone = frozenset(cone)
         self.partition = (frozenset(partition[0]), frozenset(partition[1]))
         self.kind = kind
-        self.homog_params = homog_params
         self.multiplicity = 1
         self.images = ((self.cone, self.partition),)
         self._homog_cache: dict[tuple, HomogValue] = {}
@@ -166,16 +159,15 @@ class Evaluator:
         got = self._homog_cache.get(key)
         if got is None:
             if _syllable_count(w, partition[0]) <= 2:
-                got = _all_zero(self.homog_params)  # module docstring
+                got = _ZERO  # module docstring
             else:
-                got = homogenise(lambda u: self.base(u, partition), w,
-                                 *self.homog_params)
+                got = homogenise(lambda u: self.base(u, partition), w)
             self._homog_cache[key] = got
         return got
 
 
 def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
-          kind: Kind, homog_params: tuple[int, int] = (64, 8)) -> Evaluator:
+          kind: Kind) -> Evaluator:
     """Validate the evaluator invariants; the kind must be the one
     pair_kind gives the pair for the kind's own z and side."""
     cone = frozenset(cone)
@@ -203,10 +195,6 @@ def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
         raise BuildError(f"pattern {z} is not generic")
     if isinstance(kind, Code) and kind.side not in ("A", "B"):
         raise BuildError("side must be A or B")
-    max_n, max_period = homog_params
-    if not (2 <= max_n <= 256 and 1 <= max_period <= 63):
-        raise BuildError("homogenisation needs max_n >= 2 and "
-                         "max_period >= 1, max_n <= 256 and max_period <= 63")
 
     for name, S in (("A", A), ("B", B)):
         if len(S) > 1 and len(connected_components(graph, S)) > 1:
@@ -217,7 +205,7 @@ def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
     if want != (A, B, kind):
         raise BuildError(f"{type(kind).__name__} does not fit this pair: "
                          f"{_WHY[type(want[2])]}")
-    return Evaluator(graph, cone, (A, B), kind, homog_params)
+    return Evaluator(graph, cone, (A, B), kind)
 
 
 def average(e: Evaluator) -> Evaluator:
@@ -225,7 +213,7 @@ def average(e: Evaluator) -> Evaluator:
     times one term per image of (A, B), with (A, B) first."""
     group = labelled_aut_group(e.graph)
     orbit = group.pair_orbit(*e.partition)
-    out = Evaluator(e.graph, e.cone, e.partition, e.kind, e.homog_params)
+    out = Evaluator(e.graph, e.cone, e.partition, e.kind)
     out.multiplicity = group.order // len(orbit)
     out.images = tuple((frozenset(rho[v] for v in e.cone), pair)
                        for pair, rho in orbit.items())

@@ -105,8 +105,7 @@ def constructive_pool():
         assert v.status == EXISTS_CONSTRUCTIVE
         g = v.graph
         spec = v.witness
-        a = average(build(g, spec.cone, spec.partition, spec.kind,
-                          homog_params=(10, 2)))
+        a = average(build(g, spec.cone, spec.partition, spec.kind))
         gens = list(valid_aut0_gens(g)) + list(enum_labelled_graph_autos(g))
         pool.append((g, a, gens, npairs))
     return pool
@@ -136,8 +135,7 @@ def _letter(rng, g, S):
 @st.composite
 def averaged_cases(draw):
     """An evaluator of each kind on a free product of two graphs with at
-    most 8 vertices, over a lower cone that splits, with homogenisation
-    parameters small enough to leave some values inexact, and a word u w v:
+    most 8 vertices, over a lower cone that splits, and a word u w v:
     w realises z in the evaluator's code as decide's witnesses do, and u, v
     are short words on the whole graph, so the terms differ by image."""
     sizes = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
@@ -164,12 +162,11 @@ def averaged_cases(draw):
     if len(A) == 1 and g.labels[min(A)].is_infinite:
         kinds.append(WeightedZ(z))
     kind = rng.choice(kinds)
-    params = rng.choice([(3, 1), (4, 1), (5, 2), (16, 4)])
-    e = Evaluator(g, cone, (A, B), kind, homog_params=params)
+    e = Evaluator(g, cone, (A, B), kind)
     S, T = (B, A) if kind == Code("B", z) else (A, B)
     blocks = [_letter(rng, g, S), _letter(rng, g, S)]
     # with an odd number of runs the last run merges into the first one
-    # of the next power, which leaves short scans inexact
+    # of the next power, so the code of w^n is not n copies of w's
     runs = rng.choice([z, z + (4,)])
     w = [c for i, r in enumerate(runs) for _ in range(r)
          for c in (blocks[i % 2], _letter(rng, g, T))]

@@ -57,8 +57,7 @@ def test_criterion_01_worked_example():
     ok &= code_qm(x, part, "A", (1, 2, 3)) == 1
     ok &= all(code_qm(x ** n, part, "A", (1, 2, 3)) == n
               for n in range(1, 33))
-    h = homogenise(lambda w: code_qm(w, part, "A", (1, 2, 3)), x,
-                   max_n=32, max_period=4)
+    h = homogenise(lambda w: code_qm(w, part, "A", (1, 2, 3)), x)
     ok &= h.exact and h.value == 1
     report(1, ok, "codes, pattern counts, f(g^n)=n, exact limit 1")
 
@@ -178,7 +177,7 @@ def test_criterion_08_restriction_scaling():
     # square with order-3 labels: checked construction
     g = expand(ngon(4, "Z/3"))
     cone, p = frozenset({0, 2}), (frozenset({0}), frozenset({2}))
-    e = build(g, cone, p, SumBothSides((1, 2, 3)), homog_params=(12, 4))
+    e = build(g, cone, p, SumBothSides((1, 2, 3)))
     x = parse_word(g, "v0 v2 v0^2 v2 v0^3 v2")
     plain, summed = evaluate(e, x), evaluate(average(e), x)
     j = brute_force_stabilizer_count(g, cone, p)
@@ -189,7 +188,7 @@ def test_criterion_08_restriction_scaling():
     # rejects, so construct the evaluator directly
     g = expand(figure1_raag())
     cone, p = frozenset({0, 4}), (frozenset({0}), frozenset({4}))
-    e = Evaluator(g, cone, p, SumBothSides((1, 2, 3)), homog_params=(12, 4))
+    e = Evaluator(g, cone, p, SumBothSides((1, 2, 3)))
     x = parse_word(g, "v0 v4 v0^2 v4 v0^3 v4")
     plain, summed = evaluate(e, x), evaluate(average(e), x)
     j = brute_force_stabilizer_count(g, cone, p)
@@ -252,8 +251,7 @@ def test_criterion_10_normal_form_oracle():
 
 def test_criterion_11_scl_pipeline():
     g, part = z5z3_setting()
-    e = build(g, frozenset({0, 1}), part, Code("A", (1, 2, 3)),
-              homog_params=(32, 4))
+    e = build(g, frozenset({0, 1}), part, Code("A", (1, 2, 3)))
     x = parse_word(g, WITNESS)
     given = DefectEstimate(Fraction(0), 0, 0, 0, user_bound=Fraction(12),
                            vacuous=True)
@@ -280,8 +278,7 @@ def test_standin_pairwise_non_proportionality():
         spec = WitnessSpec(frozenset({0, 1}), part, Code("A", z))
         v = Verdict(EXISTS_CONSTRUCTIVE, spec, [], g)
         words.append(witness(g, v))
-        evals.append(build(g, spec.cone, spec.partition, spec.kind,
-                           homog_params=(16, 4)))
+        evals.append(build(g, spec.cone, spec.partition, spec.kind))
     rows = []
     for e in evals:
         row = [evaluate(e, x) for x in words]

@@ -4,12 +4,14 @@ import json
 import math
 import os
 import time
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from qmgraph import autos, cli, decide, evaluators, graphs
+from qmgraph import autos, cli, decide, evaluators, graphs, scl
 from qmgraph.cli import corpus_dir, main, run_examples
+from qmgraph.codes import HomogValue
 
 from conftest import cubic_graph_text
 
@@ -166,37 +168,46 @@ def test_eval_json_and_avg(capsys, z5z3_file):
     assert doc == {"value": "1", "exact": True}
 
 
-def test_eval_inexact_prints_no_error_bound(capsys):
-    # this word homogenises inexactly at --max-n 3 --max-period 1, and
-    # exactly to 0 at the defaults
+NGON5_FLAGS = ("--word", "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
+               "v3 v0 v3 v0 v3 v0 v2", "--partA", "v0", "--partB", "v2,v3",
+               "--side", "B")
+
+
+def test_eval_inexact_prints_no_error_bound(capsys, monkeypatch):
+    # an inexact value, as the scan's fallback flags it, prints as it is;
+    # this word homogenises exactly to 0
     ngon5 = os.path.join(corpus_dir(), "ngon_5_z2.graph")
-    flags = ("--word", "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
-             "v3 v0 v3 v0 v3 v0 v2", "--partA", "v0", "--partB", "v2,v3",
-             "--side", "B")
-    shallow = ("--max-n", "3", "--max-period", "1")
-    code, out, _ = run(capsys, "eval", ngon5, *flags, *shallow)
-    assert (code, out) == (0, "value=0 exact=False\n")
-    code, out, _ = run(capsys, "eval", ngon5, *flags, *shallow, "--json")
-    assert code == 0
-    assert json.loads(out) == {"value": "0", "exact": False}
-    code, out, _ = run(capsys, "eval", ngon5, *flags)
+    with monkeypatch.context() as m:
+        evaluate = cli.evaluate
+        m.setattr(cli, "evaluate",
+                  lambda e, x: HomogValue(evaluate(e, x).value, False))
+        code, out, _ = run(capsys, "eval", ngon5, *NGON5_FLAGS)
+        assert (code, out) == (0, "value=0 exact=False\n")
+        code, out, _ = run(capsys, "eval", ngon5, *NGON5_FLAGS, "--json")
+        assert code == 0
+        assert json.loads(out) == {"value": "0", "exact": False}
+    code, out, _ = run(capsys, "eval", ngon5, *NGON5_FLAGS)
     assert (code, out) == (0, "value=0 exact=True\n")
 
 
-def test_eval_single_increment_is_not_exact(capsys):
-    # f(x^n) = 1, 0, 0, ... on this word: at --max-n 2 the scan sees one
-    # increment, -1, which is no evidence of a period; the limit is 0
+def test_eval_single_increment_is_not_exact(capsys, monkeypatch):
+    # f(x^n) = 1, 0, 0, ... on this word: the first increment, -1, is no
+    # evidence of a period, and the scan reads 18 powers, 17 increments,
+    # before it takes the limit 0 as exact
     ngon5 = os.path.join(corpus_dir(), "ngon_5_z2.graph")
-    flags = ("--word", "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
-             "v3 v0 v3 v0 v3 v0 v2", "--partA", "v0", "--partB", "v2,v3",
-             "--side", "B")
-    for period in ("1", "2"):
-        code, out, _ = run(capsys, "eval", ngon5, *flags, "--max-n", "2",
-                           "--max-period", period)
-        assert (code, out) == (0, "value=0 exact=False\n"), period
-    code, out, _ = run(capsys, "eval", ngon5, *flags, "--max-n", "4",
-                       "--max-period", "1")
+    seen = []
+    homogenise = evaluators.homogenise
+
+    def counted(f, x):
+        def read(u):
+            seen.append(f(u))
+            return seen[-1]
+        return homogenise(read, x)
+
+    monkeypatch.setattr(evaluators, "homogenise", counted)
+    code, out, _ = run(capsys, "eval", ngon5, *NGON5_FLAGS)
     assert (code, out) == (0, "value=0 exact=True\n")
+    assert seen == [1] + [0] * 17
 
 
 def test_homog_subcommand(capsys, z5z3_file):
@@ -210,12 +221,13 @@ def test_homog_subcommand(capsys, z5z3_file):
 
 
 def test_max_n_env_override(capsys, z5z3_file, monkeypatch):
-    # --max-n reaches the limit detector; QMGRAPH_MAX_N is not read, so
-    # neither an invalid nor a non-integer value changes anything
+    # the scan depth is fixed: --max-n is no option, and QMGRAPH_MAX_N is
+    # not read, so neither an invalid nor a non-integer value changes
+    # anything
     flags = ("--word", WITNESS_WORD, "--partA", "v0", "--partB", "v1")
     code, _, err = run(capsys, "eval", z5z3_file, *flags, "--max-n", "1")
-    assert code == 3
-    assert err.startswith("error: ") and "max_n >= 2" in err
+    assert code == 1
+    assert "unrecognized arguments: --max-n 1" in err
     for env in ("1", "abc"):
         monkeypatch.setenv("QMGRAPH_MAX_N", env)
         code, out, _ = run(capsys, "eval", z5z3_file, *flags)
@@ -238,21 +250,28 @@ def test_homog_has_no_avg_flag(capsys):
     assert "invalid choice: 'homog'" in err
 
 
-def test_bad_max_period_is_exit_3(capsys, z5z3_file):
-    # below 1, or a scan past max_n 256 or max_period 63, is refused
+def test_scan_depth_flags_are_usage_errors(capsys, z5z3_file):
+    # --max-n and --max-period are gone: every value, the defaults, the
+    # depths that gave wrong exact values and the ones that once hung are
+    # refused by the parser, before any scan
     for flags in (("--max-period", "0"), ("--max-n", "257"),
-                  ("--max-period", "64")):
-        code, _, err = run(capsys, "eval", z5z3_file, "--word", WITNESS_WORD,
-                           "--partA", "v0", "--partB", "v1", *flags)
-        assert code == 3, flags
-        assert err == ("error: homogenisation needs max_n >= 2 and "
-                       "max_period >= 1, max_n <= 256 and max_period <= 63\n")
+                  ("--max-period", "64"), ("--max-n", "64"),
+                  ("--max-n", "4", "--max-period", "1"),
+                  ("--max-n", "20000", "--max-period", "10000")):
+        code, out, err = run(capsys, "eval", z5z3_file, "--word",
+                             WITNESS_WORD, "--partA", "v0", "--partB", "v1",
+                             *flags)
+        assert (code, out) == (1, ""), flags
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
-def test_inexact_evaluations_are_skipped_or_refused(capsys, z5z3_file):
-    # at --max-n 2 every value is flagged inexact: defect skips every
-    # sampled pair, and scl refuses to bound the word
-    flags = ("--partA", "v0", "--partB", "v1", "--max-n", "2")
+def test_inexact_evaluations_are_skipped_or_refused(capsys, z5z3_file,
+                                                    monkeypatch):
+    # every value flagged inexact, as the scan's fallback flags it: defect
+    # skips every sampled pair, and scl refuses to bound the word
+    monkeypatch.setattr(scl, "evaluate",
+                        lambda e, x: HomogValue(Fraction(0), False))
+    flags = ("--partA", "v0", "--partB", "v1")
     code, out, _ = run(capsys, "defect", z5z3_file, *flags, "--samples", "10")
     assert (code, out) == (0, "defect>=0 samples=10 skipped=10\n")
     code, out, err = run(capsys, "scl", z5z3_file, *flags, "--word",
@@ -360,8 +379,7 @@ def test_witness_without_construction(capsys, tmp_path):
 def test_defect_command(capsys, z5z3_file):
     code, out, _ = run(capsys, "defect", z5z3_file,
                        "--partA", "v0", "--partB", "v1",
-                       "--samples", "6", "--max-len", "6", "--seed", "1",
-                       "--max-n", "8", "--max-period", "2")
+                       "--samples", "6", "--max-len", "6", "--seed", "1")
     assert code == 0
     assert out.startswith("defect>=")
     assert "samples=6" in out
@@ -403,7 +421,7 @@ def test_scl_heuristic_json(capsys, z5z3_file):
     code, out, _ = run(capsys, "scl", z5z3_file, "--word", WITNESS_WORD,
                        "--partA", "v0", "--partB", "v1",
                        "--samples", "30", "--max-len", "12", "--seed", "7",
-                       "--max-n", "10", "--max-period", "2", "--json")
+                       "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["mode"] == "heuristic"

@@ -51,8 +51,7 @@ def test_worked_example_codes(z5b):
     for n in range(1, 33):
         assert code_qm(x ** n, part, "A", (1, 2, 3)) == n
 
-    h = homogenise(lambda w: code_qm(w, part, "A", (1, 2, 3)), x,
-                   max_n=32, max_period=4)
+    h = homogenise(lambda w: code_qm(w, part, "A", (1, 2, 3)), x)
     assert h.exact and h.value == 1
 
 
@@ -140,8 +139,8 @@ def test_homogenise_conjugacy_invariance(z5b):
     f = lambda w: code_qm(w, part, "A", (1, 2, 3))
     x = parse_word(g, "a b a^2 b a^3 b")
     y = parse_word(g, "b a^2")
-    hx = homogenise(f, x, max_n=24, max_period=6)
-    hy = homogenise(f, y * x * y.inverse(), max_n=24, max_period=6)
+    hx = homogenise(f, x)
+    hy = homogenise(f, y * x * y.inverse())
     assert hx.exact and hy.exact
     assert hx.value == hy.value
 
@@ -149,24 +148,24 @@ def test_homogenise_conjugacy_invariance(z5b):
 def test_homogenise_torsion_vanishes(z5b):
     g, part = z5b
     f = lambda w: code_qm(w, part, "A", (1, 2, 3))
-    h = homogenise(f, NormalWord.letter(g, 0), max_n=16, max_period=4)
+    h = homogenise(f, NormalWord.letter(g, 0))
     assert h.exact and h.value == 0
 
 
 def test_homogenise_inexact_reports_bound():
-    # f(x^n) reads 1, 0, 0, ...: too few powers to see the period at
-    # (3, 1), so the scan falls back to f(x^3)/3 and flags it inexact
+    # f(x^n) = (n |x|)^2 never settles: no period shows among the 64
+    # powers, so the scan falls back to f(x^64)/64 and flags it inexact
     g = expand(ngon(5, "Z/2"))
-    part = (frozenset({0}), frozenset({2, 3}))
-    f = lambda w: code_qm(w, part, "B", (1, 2, 3))
     x = parse_word(g, "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
                       "v3 v0 v3 v0 v3 v0 v2")
+    f = lambda w: len(w.letters) ** 2
+    assert homogenise(f, x) == HomogValue(Fraction(f(x ** 64), 64), False)
+    # a code quasimorphism reads 1, 0, 0, ... on the same word and
+    # settles at once, exactly
+    part = (frozenset({0}), frozenset({2, 3}))
+    f = lambda w: code_qm(w, part, "B", (1, 2, 3))
     assert [f(x ** n) for n in (1, 2, 3)] == [1, 0, 0]
-    h = homogenise(f, x, max_n=3, max_period=1)
-    assert h == HomogValue(Fraction(f(x ** 3), 3), False)
     assert homogenise(f, x) == HomogValue(Fraction(0), True)
-    with pytest.raises(ValueError, match="^max_period must be >= 1$"):
-        homogenise(f, x, 4, 0)
 
 
 def test_empirical_defect_bounded(z5b):
@@ -242,23 +241,23 @@ def test_code_matches_block_run_lengths(case, k):
 # -- the power scan against exact homogenisation by cyclic reduction --------
 
 def _assert_scan_matches_reference(e, w):
-    """Where the scan at e's parameters is exact it equals the reference;
-    where it is not, the scan at (64, 8) is exact and equals it."""
+    """The scan is exact and equals the reference."""
     want = homog_reference.homog_value(e, w)
-    f = lambda u: e.base(u, e.partition)
-    got = homogenise(f, w, *e.homog_params)
-    if not got.exact:
-        got = homogenise(f, w, 64, 8)
-    assert got == HomogValue(want, True), (e.homog_params, w.letters)
+    got = homogenise(lambda u: e.base(u, e.partition), w)
+    assert got == HomogValue(want, True), w.letters
     return want
 
 
-def _pinned_inexact_case(g=None, params=(3, 1)):
-    """The scan of test_homogenise_inexact_reports_bound, as an evaluator."""
-    g = g or expand(ngon(5, "Z/2"))
+def _pinned_ngon_case():
+    """The code quasimorphism of test_homogenise_inexact_reports_bound, as
+    an evaluator on the corpus n-gon, with its word, which test_cli
+    evaluates too."""
+    g = expand(parse_graph(
+        (resources.files("qmgraph") / "corpus" / "ngon_5_z2.graph")
+        .read_text()))
     e = Evaluator(g, frozenset({0, 2, 3}), (frozenset({0}),
                                            frozenset({2, 3})),
-                  Code("B", (1, 2, 3)), homog_params=params)
+                  Code("B", (1, 2, 3)))
     x = parse_word(g, "v2 v0 v3 v0 v3 v0 v2 v0 v2 v0 v2 v0 v3 v0 v3 v0 "
                       "v3 v0 v3 v0 v3 v0 v2")
     return e, x
@@ -269,7 +268,7 @@ def _half_rate_case():
     counting on code (1, 2, 3)^n finds one copy every two periods."""
     g = expand(edgeless(["Z/5", "Z/3"]))
     e = Evaluator(g, frozenset({0, 1}), (frozenset({0}), frozenset({1})),
-                  Code("A", (1, 2, 3, 1, 2)), homog_params=(16, 4))
+                  Code("A", (1, 2, 3, 1, 2)))
     x = parse_word(g, "v0 v1 v0^2 v1 v0^2 v1 v0^3 v1 v0^3 v1 v0^3 v1")
     assert homog_reference.homog_value(e, x) == Fraction(1, 2)
     return e, x
@@ -277,7 +276,7 @@ def _half_rate_case():
 
 @settings(max_examples=150, deadline=None)
 @given(averaged_cases(), st.integers(2, 3), st.integers(0, 2 ** 32))
-@example(_pinned_inexact_case(), 2, 0)
+@example(_pinned_ngon_case(), 2, 0)
 @example(_half_rate_case(), 2, 0)
 def test_homogenise_matches_cyclic_reduction(case, k, seed):
     e, x = case
@@ -307,31 +306,15 @@ def test_homogenise_matches_cyclic_reduction_on_products(case, seed):
 
 def test_homogenise_matches_cyclic_reduction_on_criterion_06():
     """Every term of every evaluation in acceptance criterion 06, and the
-    averaged value wherever its scan is exact."""
+    averaged value."""
     for a, x, gen in aut_invariance_cases(constructive_pool()):
-        terms = [Evaluator(a.graph, cone, pair, a.kind, a.homog_params)
+        terms = [Evaluator(a.graph, cone, pair, a.kind)
                  for cone, pair in a.images]
         for word in (x, apply_gen(gen, x)):
             want = a.multiplicity * sum(
                 _assert_scan_matches_reference(t, retraction(word, t.cone))
                 for t in terms)
-            got = evaluate(a, word)
-            assert not got.exact or got.value == want, word.letters
-
-
-@pytest.mark.parametrize("params,exact", [((3, 1), False), ((2, 1), False),
-                                          ((2, 2), False), ((4, 1), True),
-                                          ((64, 8), True)])
-def test_cli_inexact_case_matches_cyclic_reduction(params, exact):
-    """The eval word of test_cli's inexact cases on the corpus n-gon, at
-    each --max-n and --max-period pinned there."""
-    g = expand(parse_graph(
-        (resources.files("qmgraph") / "corpus" / "ngon_5_z2.graph")
-        .read_text()))
-    e, x = _pinned_inexact_case(g, params)
-    assert homogenise(lambda u: e.base(u, e.partition), x,
-                      *params).exact == exact
-    assert _assert_scan_matches_reference(e, x) == 0
+            assert evaluate(a, word) == HomogValue(want, True), word.letters
 
 
 def _witness_graphs():

@@ -355,8 +355,7 @@ def test_witness_words_evaluate_to_one():
         assert v.status == EXISTS_CONSTRUCTIVE, graph
         x = witness(graph, v)
         spec = v.witness
-        e = build(v.graph, spec.cone, spec.partition, spec.kind,
-                  homog_params=(12, 4))
+        e = build(v.graph, spec.cone, spec.partition, spec.kind)
         got = evaluate(e, x)
         assert got.exact and got.value == 1, (graph, got)
 
@@ -426,6 +425,6 @@ def test_manual_constructive_verdict_witness():
                        Code("A", (1, 3, 2)))
     v = Verdict(EXISTS_CONSTRUCTIVE, spec, [], g)
     x = witness(g, v)
-    e = build(g, spec.cone, spec.partition, spec.kind, homog_params=(12, 4))
+    e = build(g, spec.cone, spec.partition, spec.kind)
     got = evaluate(e, x)
     assert got.exact and got.value == 1

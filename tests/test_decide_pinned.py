@@ -135,8 +135,7 @@ def _expanded_name(rename, name):
 
 
 def _plain_value(g, spec, word):
-    got = evaluate(build(g, spec.cone, spec.partition, spec.kind,
-                         homog_params=(12, 4)), word)
+    got = evaluate(build(g, spec.cone, spec.partition, spec.kind), word)
     return got.value if got.exact else None
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 
 import evaluators_reference as case_rules
 from qmgraph.autos import (LabelledGraphAut, apply_gen,
-                           enum_labelled_graph_autos)
+                           enum_labelled_graph_autos, labelled_aut_group)
 from qmgraph.codes import HomogValue, homogenise
 from qmgraph.evaluators import (BuildError, Code, Evaluator, SumBothSides,
                                 WeightedZ, average, build, evaluate,
@@ -59,14 +59,17 @@ def test_build_structural_errors():
 
 
 def test_build_rejects_bad_homogenisation_params():
+    # the scan depth is fixed: build and Evaluator take no parameters for
+    # it, so neither (4, 1) nor (256, 63), where the scan flagged wrong
+    # values as exact, can be asked for
     g = z5z3()
     cone = frozenset({0, 1})
-    for params in ((1, 8), (0, 8), (8, 0), (8, -1), (257, 8), (64, 64)):
-        with pytest.raises(BuildError, match="max_n >= 2 and max_period"):
+    for params in ((4, 1), (256, 63), (64, 8)):
+        with pytest.raises(TypeError, match="homog_params"):
             build(g, cone, part({0}, {1}), Code("A", Z123),
                   homog_params=params)
-    for params in ((2, 1), (256, 63)):
-        build(g, cone, part({0}, {1}), Code("A", Z123), homog_params=params)
+        with pytest.raises(TypeError):
+            Evaluator(g, cone, part({0}, {1}), Code("A", Z123), params)
 
 
 def test_build_rejects_unexpanded_graph():
@@ -250,8 +253,7 @@ def test_evaluate_rejects_foreign_word():
 
 def test_evaluate_unaveraged_worked_value():
     g = z5z3()
-    e = build(g, frozenset({0, 1}), part({0}, {1}), Code("A", Z123),
-              homog_params=(16, 4))
+    e = build(g, frozenset({0, 1}), part({0}, {1}), Code("A", Z123))
     # A-side run-length code (1, 2, 1, 2, 1, 2, 3); stable under powers
     x = parse_word(g, "v0^4 v1 v0^2 v1 v0^2 v1 v0^3 v1 v0 v1 v0 v1 "
                       "v0^3 v1 v0 v1 v0 v1 v0^2 v1 v0^2 v1 v0^2 v1")
@@ -274,62 +276,35 @@ def _side_word(g, side, rng):
             return w
 
 
-def _short_word_evaluators():
-    """(evaluator constructor, graph) for each kind, with a side of two
-    vertices for Code and a pattern of length 1 on a direct Evaluator."""
+def _short_word_params():
+    """The graph, cone, partition and kind of an evaluator of each kind,
+    with a side of two vertices for Code, and a pattern of length 1,
+    which build refuses as not generic."""
     g_code = expand(parse_graph(
         "vertex a1 Z/2\nvertex a2 Z/3\nvertex b Z/5\nedge a1 a2"))
     g_wz = expand(edgeless(["Z", "Z/3"]))
     g_sum = expand(edgeless(["Z/3", "Z/3"]))
-    g_one = z5z3()
-    all3 = frozenset({0, 1, 2})
-    return [
-        (lambda h: build(g_code, all3, part({0, 1}, {2}),
-                         Code("A", Z123), h), g_code),
-        (lambda h: build(g_code, all3, part({0, 1}, {2}),
-                         Code("B", (2, 1, 3)), h), g_code),
-        (lambda h: build(g_wz, frozenset({0, 1}), part({0}, {1}),
-                         WeightedZ(Z123), h), g_wz),
-        (lambda h: build(g_sum, frozenset({0, 1}), part({0}, {1}),
-                         SumBothSides(Z123), h), g_sum),
-        (lambda h: Evaluator(g_one, frozenset({0, 1}), part({0}, {1}),
-                             Code("A", (2,)), h), g_one),
-    ]
+    all3, both = frozenset({0, 1, 2}), frozenset({0, 1})
+    return [(g_code, all3, part({0, 1}, {2}), Code("A", Z123)),
+            (g_code, all3, part({0, 1}, {2}), Code("B", (2, 1, 3))),
+            (g_wz, both, part({0}, {1}), WeightedZ(Z123)),
+            (g_sum, both, part({0}, {1}), SumBothSides(Z123)),
+            (z5z3(), both, part({0}, {1}), Code("A", (2,)))]
 
 
-@pytest.mark.parametrize("params", [(2, 1), (3, 1), (4, 2), (10, 2),
-                                    (64, 8)])
+@pytest.mark.parametrize("params", _short_word_params())
 def test_short_words_skip_scan_with_scan_result(params):
     rng = random.Random(11)
-    for make, g in _short_word_evaluators():
-        e = make(params)
-        A, B = e.partition
-        words = [NormalWord.identity(g)]
-        for _ in range(6):
-            a, b = _side_word(g, A, rng), _side_word(g, B, rng)
-            words += [a, b, a * b, b * a]
-        for w in words:
-            assert e._homog(w, e.partition) == homogenise(
-                lambda u: e.base(u, e.partition), w, *params), (e.kind, w)
-        # at max_n = 2 the scan sees one difference and flags 0 inexact
-        assert e._homog(words[0], e.partition) == HomogValue(
-            Fraction(0), params != (2, 1))
-
-
-def test_short_word_errors_match_scan():
-    # _homog trusts build, which refuses an edge between the sides, a
-    # letter outside A | B, an empty pattern, side "C" and WeightedZ on a
-    # Z/5 side (the test_build_* tests).  Bad scan parameters on a raw
-    # Evaluator still raise as the scan does, through _all_zero
-    g = expand(edgeless(["Z/5", "Z/3", "Z/2"]))
-    e = Evaluator(g, frozenset({0, 1}), part({0}, {1}), Code("A", Z123),
-                  homog_params=(1, 8))
-    w = parse_word(g, "v0")
-    for scan in (lambda: e._homog(w, e.partition),
-                 lambda: homogenise(lambda u: e.base(u, e.partition), w,
-                                    *e.homog_params)):
-        with pytest.raises(ValueError, match="^max_n must be >= 2$"):
-            scan()
+    e = Evaluator(*params)
+    g, (A, B) = e.graph, e.partition
+    words = [NormalWord.identity(g)]
+    for _ in range(6):
+        a, b = _side_word(g, A, rng), _side_word(g, B, rng)
+        words += [a, b, a * b, b * a]
+    for w in words:
+        assert e._homog(w, e.partition) == homogenise(
+            lambda u: e.base(u, e.partition), w), w
+    assert e._homog(words[0], e.partition) == HomogValue(Fraction(0), True)
 
 
 def test_average_sets_images_and_multiplicity():
@@ -350,7 +325,7 @@ def test_restriction_scaling_square_z3():
     g = expand(ngon(4, "Z/3"))
     cone = frozenset({0, 2})
     p = part({0}, {2})
-    e = build(g, cone, p, SumBothSides(Z123), homog_params=(12, 4))
+    e = build(g, cone, p, SumBothSides(Z123))
     a = average(e)
     x = parse_word(g, "v0 v2 v0^2 v2 v0^3 v2")
     plain = evaluate(e, x)
@@ -365,7 +340,7 @@ def test_restriction_scaling_figure1_raag():
     cone = frozenset({0, 4})
     p = part({0}, {4})
     # F2 base: build rejects it as non-constructive, so construct directly
-    e = Evaluator(g, cone, p, SumBothSides(Z123), homog_params=(12, 4))
+    e = Evaluator(g, cone, p, SumBothSides(Z123))
     a = average(e)
     x = parse_word(g, "v0 v4 v0^2 v4 v0^3 v4")
     plain = evaluate(e, x)
@@ -435,7 +410,7 @@ def _coset_case():
     for some labelled automorphism rho, which generated cases rarely show."""
     g = expand(edgeless(["Z", "Z/2", "Z/3", "Z/3", "Z/3", "Z/4", "Z"]))
     e = Evaluator(g, frozenset({0, 4, 5, 6}), part({4, 5, 6}, {0}),
-                  SumBothSides(Z123), homog_params=(3, 1))
+                  SumBothSides(Z123))
     x = parse_word(g, "v5^2 v0^2 v6^-1 v0^-1 v6^-1 v0^-1 v5^2 v0^-2 v5^2 "
                       "v0^-1 v5^2 v0 v3^2 v5^2")
     return e, x
@@ -461,15 +436,22 @@ def test_moving_the_pair_equals_moving_the_word(case):
             inverse[t] = v
         got = evaluate(moved.setdefault(
             (cone, A, B),
-            Evaluator(e.graph, cone, (A, B), e.kind, e.homog_params)), x)
+            Evaluator(e.graph, cone, (A, B), e.kind)), x)
         want = evaluate(e, apply_gen(LabelledGraphAut(tuple(inverse)), x))
         assert (got.value, got.exact) == (want.value, want.exact), rho
 
 
 def test_averaged_evaluate_sums_over_right_cosets():
-    """f(rho x) and f(rho^-1 x) differ here, so a sum that confused rho
-    with rho^-1 would read 2 instead of 10/3."""
+    """f(rho x) and f(rho^-1 x) differ here for the 3-cycle rho of v2, v3
+    and v4, so a sum that confused rho with rho^-1 would read 4, not 2."""
     e, x = _coset_case()
-    got = evaluate(average(e), x)
+    a = average(e)
+    got = evaluate(a, x)
     assert got == full_group_sum(e, x)
-    assert got == HomogValue(Fraction(10, 3), False)
+    assert got == HomogValue(Fraction(2), True)
+    f = lambda p: e._homog(retraction(apply_gen(LabelledGraphAut(p), x),
+                                      e.cone), e.partition)
+    assert (f((0, 1, 3, 4, 2, 5, 6)), f((0, 1, 4, 2, 3, 5, 6))) == (
+        HomogValue(Fraction(1), True), HomogValue(Fraction(0), True))
+    reps = labelled_aut_group(e.graph).pair_orbit(*e.partition).values()
+    assert a.multiplicity * sum(f(rho).value for rho in reps) == 4

@@ -16,10 +16,10 @@ from qmgraph.words import NormalWord, parse_word
 from conftest import edgeless, ngon
 
 
-def z5z3_eval(homog=(16, 4)):
+def z5z3_eval():
     g = expand(edgeless(["Z/5", "Z/3"]))
     e = build(g, frozenset({0, 1}), (frozenset({0}), frozenset({1})),
-              Code("A", (1, 2, 3)), homog_params=homog)
+              Code("A", (1, 2, 3)))
     return g, e
 
 
@@ -53,9 +53,9 @@ def test_estimate_defect_rejects_bad_arguments():
 
 
 def test_estimate_defect_deterministic():
-    _, e = z5z3_eval(homog=(10, 2))
+    _, e = z5z3_eval()
     a = estimate_defect(e, samples=10, max_len=8, seed=4)
-    _, e2 = z5z3_eval(homog=(10, 2))
+    _, e2 = z5z3_eval()
     b = estimate_defect(e2, samples=10, max_len=8, seed=4)
     assert (a.empirical_max, a.skipped) == (b.empirical_max, b.skipped)
 
@@ -65,7 +65,7 @@ def test_homomorphism_has_zero_defect(monkeypatch):
     # evaluated in place of the quasimorphism, its defect is exactly 0
     g = expand(edgeless(["Z", "Z/3"]))
     e = build(g, frozenset({0, 1}), (frozenset({0}), frozenset({1})),
-              WeightedZ((1, 2, 3)), homog_params=(10, 2))
+              WeightedZ((1, 2, 3)))
 
     def exponent_sum(e, x):
         return HomogValue(Fraction(sum(k for v, k in x.letters
@@ -76,10 +76,12 @@ def test_homomorphism_has_zero_defect(monkeypatch):
     assert d.empirical_max == 0 and d.skipped == 0
 
 
-def test_inexact_evaluations_are_skipped_or_refused():
-    # at max_n = 2 the scan sees one increment and flags every value
-    # inexact: each sampled pair is skipped, and no bound is given
-    g, e = z5z3_eval(homog=(2, 8))
+def test_inexact_evaluations_are_skipped_or_refused(monkeypatch):
+    # every value flagged inexact, as the scan's fallback flags it: each
+    # sampled pair is skipped, and no bound is given
+    g, e = z5z3_eval()
+    monkeypatch.setattr(scl, "evaluate",
+                        lambda e, x: HomogValue(Fraction(0), False))
     d = estimate_defect(e, samples=10, max_len=6, seed=0)
     assert (d.empirical_max, d.samples, d.skipped) == (0, 10, 10)
     assert not d.vacuous
@@ -90,7 +92,7 @@ def test_inexact_evaluations_are_skipped_or_refused():
 
 
 def test_sampled_defect_regression_z5z3():
-    _, e = z5z3_eval(homog=(10, 2))
+    _, e = z5z3_eval()
     d = estimate_defect(e, samples=60, max_len=14, seed=7)
     assert d.skipped == 0
     assert d.empirical_max == 2
@@ -100,8 +102,7 @@ def test_sampled_defect_regression_pentagon():
     from qmgraph.decide import decide
     v = decide(ngon(5, "Z/2"))
     spec = v.witness
-    e = build(v.graph, spec.cone, spec.partition, spec.kind,
-              homog_params=(10, 2))
+    e = build(v.graph, spec.cone, spec.partition, spec.kind)
     d = estimate_defect(e, samples=40, max_len=14, seed=3)
     assert d.skipped == 0
     assert d.empirical_max == 1
@@ -112,7 +113,7 @@ def test_sampled_defect_regression_pentagon():
 
 
 def test_exhaustive_defect_short_words_is_zero():
-    g, e = z5z3_eval(homog=(8, 2))
+    g, e = z5z3_eval()
     letters = []
     for v in (0, 1):
         for k in range(1, g.labels[v].order):
@@ -149,7 +150,7 @@ def test_scl_bound_rigorous_one_over_24():
 
 
 def test_scl_bound_heuristic_flags_itself():
-    g, e = z5z3_eval(homog=(10, 2))
+    g, e = z5z3_eval()
     x = parse_word(g, WITNESS)
     d = estimate_defect(e, samples=20, max_len=10, seed=5)
     if d.empirical_max > 0:
