@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import codes_reference as two_pass
 import homog_reference
+from qmgraph import codes
 from qmgraph.autos import apply_gen
 from qmgraph.codes import (HomogValue, code, code_qm, count_disjoint,
                            homogenise, is_generic, weighted_code_qm,
@@ -315,6 +316,30 @@ def test_homogenise_matches_cyclic_reduction_on_criterion_06():
                 _assert_scan_matches_reference(t, retraction(word, t.cone))
                 for t in terms)
             assert evaluate(a, word) == HomogValue(want, True), word.letters
+
+
+@pytest.mark.parametrize("params,exact", [((3, 1), False), ((2, 1), False),
+                                          ((2, 2), False), ((4, 1), True),
+                                          ((64, 8), True)])
+def test_cli_inexact_case_matches_cyclic_reduction(params, exact,
+                                                   monkeypatch):
+    """The eval word of test_cli on the corpus n-gon, scanned at the
+    depths the CLI once let a user pick: too shallow to see the period,
+    the scan falls back to s_N/N and flags it inexact; from (4, 1) on it
+    is exact and equals cyclic reduction."""
+    e, x = _pinned_ngon_case()
+    f = lambda u: e.base(u, e.partition)
+    max_n, max_period = params
+    monkeypatch.setattr(codes, "MAX_N", max_n)
+    monkeypatch.setattr(codes, "MAX_PERIOD", max_period)
+    got = homogenise(f, x)
+    want = homog_reference.homog_value(e, x)
+    if exact:
+        assert got == HomogValue(want, True)
+    else:
+        assert got == HomogValue(Fraction(f(x ** max_n), max_n), False)
+    monkeypatch.undo()
+    assert _assert_scan_matches_reference(e, x) == 0
 
 
 def _witness_graphs():
