@@ -93,7 +93,8 @@ def validate_gen(g: LabeledGraph, gen: AutGen) -> tuple[bool, str]:
 
 def _letter_image(g: LabeledGraph, gen: AutGen, v: int,
                   e: int) -> list[Letter]:
-    """The letters of the image of (v, e), not yet normalised."""
+    """The letters of the image of (v, e), not yet normalised; gen is of a
+    known type (apply_gen validates it first)."""
     if isinstance(gen, LabelledGraphAut):
         return [(gen.perm[v], e)]
     if isinstance(gen, FactorAut):
@@ -107,11 +108,9 @@ def _letter_image(g: LabeledGraph, gen: AutGen, v: int,
             q = gv.prime ** (gw.power - gv.power)
         # (v w^q)^e by repeated squaring, so a large e stays cheap
         return list((NormalWord(g, [(gen.v, 1), (gen.w, q)]) ** e).letters)
-    if isinstance(gen, PartialConj):
-        if v in gen.K:
-            return [(gen.v, 1), (v, e), (gen.v, -1)]
-        return [(v, e)]
-    raise AutError(f"unknown generator type {type(gen)!r}")
+    if v in gen.K:  # a PartialConj
+        return [(gen.v, 1), (v, e), (gen.v, -1)]
+    return [(v, e)]
 
 
 def apply_gen(gen: AutGen, x: NormalWord) -> NormalWord:

@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .evaluators import (DEFAULT_Z, BuildError, Code, Evaluator, average,
-                         build, evaluate, pair_kind)
+from .evaluators import (DEFAULT_Z, Evaluator, average, build, evaluate,
+                         pair_kind)
 from .decide import (EXISTS_CONSTRUCTIVE, decide, find_invariant_cones,
                      witness)
 from .scl import DefectEstimate, estimate_defect, scl_aut_lower_bound
@@ -93,13 +93,8 @@ def _add_eval_flags(p):
 
 
 def _build_from_flags(g: LabeledGraph, args) -> Evaluator:
-    A, B, z = _vset(g, args.partA), _vset(g, args.partB), _ztuple(args.z)
-    try:
-        A, B, kind = pair_kind(g, A, B, z, args.side)
-    except BuildError:
-        # build raises too: a fault of the pair's structure first, as
-        # for any kind, else the reason pair_kind gave
-        kind = Code(args.side or "A", z)
+    A, B, kind = pair_kind(g, _vset(g, args.partA), _vset(g, args.partB),
+                           _ztuple(args.z), args.side)
     e = build(g, A | B, (A, B), kind)
     return average(e) if args.avg else e
 

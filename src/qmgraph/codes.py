@@ -153,7 +153,8 @@ def homogenise(f: Callable[[NormalWord], int], x: NormalWord) -> HomogValue:
         return None
 
     # a period only counts once its constant run fills half a window of
-    # at least this many powers; scanning more cannot change the limit
+    # at least this many powers.  A heuristic: a long pattern z can keep
+    # a run constant through the window and break it later
     floor = 2 * (MAX_PERIOD + 1)
     s = [0]  # s[0] for the identity power
     xn = NormalWord.identity(x.graph)

@@ -57,19 +57,10 @@ _SPLIT = ": cone {cone} splits as {A} * {B} ({kind})"
 
 def _first_spec(g: LabeledGraph, pairs: Iterable[tuple], trace: list[str],
                 line: str) -> Optional[WitnessSpec]:
-    """The spec of the first candidate pair (A, B), in order, whose union
-    is a lower cone and that has a constructive evaluator kind; `line`,
-    with the fields cone, A, B (vertex names), nA, nB (side sizes) and
-    kind, goes on the trace.  The cone, the cheaper test, goes first.
-
-    evaluators.build accepts the spec: the kind is pair_kind's, and its
-    other checks hold for every candidate.
-    - A and B are disjoint and non-adjacent, and each is connected: a
-      component, a finite or free-abelian class (a clique), or a vertex.
-    - g is expanded, and DEFAULT_Z is generic."""
+    """The spec of the first candidate pair (A, B), in order, that
+    evaluators.pair_kind accepts; `line`, with the fields cone, A, B
+    (vertex names), nA, nB (side sizes) and kind, goes on the trace."""
     for A, B in pairs:
-        if not is_lower_cone(g, A | B):
-            continue
         try:
             A, B, kind = ev.pair_kind(g, A, B)
         except ev.BuildError:

@@ -3,8 +3,9 @@
 An evaluator is a counting quasimorphism on the free product spanned by a
 lower cone, precomposed with the standard retraction, homogenised, and
 optionally averaged over all labelled graph automorphisms (as a sum, not
-a mean).  All values are exact rationals whenever the homogenisation
-detects a stable period.
+a mean).  Values are rationals, flagged exact when the homogenisation
+detects a stable period; the flag is a heuristic that a long pattern
+can defeat (codes.homogenise).
 
 The sum runs over the images of the side pair and moves no word.  A
 labelled automorphism rho only renames vertices: rho^-1 sends the
@@ -43,7 +44,8 @@ from itertools import groupby
 from . import codes
 from .autos import labelled_aut_group, labelled_isomorphisms
 from .codes import HomogValue, homogenise, is_generic
-from .graphs import LabeledGraph, connected_components, is_lower_cone
+from .graphs import (LabeledGraph, connected_components, is_lower_cone,
+                     vertex_mask)
 from .words import NormalWord, retraction
 
 
@@ -98,16 +100,43 @@ def _single_z2(g: LabeledGraph, S: frozenset[int]) -> bool:
 def pair_kind(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
               z: tuple[int, ...] = DEFAULT_Z, side: str | None = None
               ) -> tuple[frozenset[int], frozenset[int], Kind]:
-    """The evaluator kind of the free pair (A, B), as (A, B, kind): the
-    one rule build, decide and the CLI share.  WeightedZ when one side is
-    a single Z vertex, which becomes side A; SumBothSides when the sides
-    are isomorphic; else Code, on `side`, or on A unless A is a single
-    Z/2 vertex.  A Z * Z, Z/2 * Z/2 or Z/2 code side has no kind."""
+    """The evaluator kind of the side pair (A, B), as (A, B, kind): the
+    one check of a pair that build, decide and the CLI share.  The pair
+    must be a free splitting of the lower cone A | B of the expanded g
+    into connected sides, and z positive and generic.  The kind is
+    WeightedZ when one side is a single Z vertex, which becomes side A;
+    SumBothSides when the sides are isomorphic; else Code, on `side`, or
+    on A unless A is a single Z/2 vertex.  A Z * Z, Z/2 * Z/2 or Z/2
+    code side has no kind."""
+    if not g.is_expanded():
+        raise BuildError("graph must be expanded")
+    if not A or not B:
+        raise BuildError("partition parts must be nonempty")
+    if A & B:
+        raise BuildError("partition parts overlap")
+    bmask = vertex_mask(g, B)
+    if any(g.adj[a] & bmask for a in A):
+        raise BuildError("edge between partition sides")
+    if not is_lower_cone(g, A | B):
+        raise BuildError("cone is not a lower cone")
+    if not z or any(n < 1 for n in z):
+        raise BuildError("pattern entries must be positive")
+    if not is_generic(z):
+        raise BuildError(f"pattern {z} is not generic")
+    if side not in (None, "A", "B"):
+        raise BuildError("side must be A or B")
     az, bz = _single_z(g, A), _single_z(g, B)
+    if bz and not az:
+        A, B = B, A  # WeightedZ's Z vertex is side A, in messages too
+    for name, S in (("A", A), ("B", B)):
+        if len(S) > 1 and len(connected_components(g, S)) > 1:
+            raise BuildError(
+                f"side {name} is a nontrivial free product; "
+                "split it into factors instead")
     if az and bz:
         raise BuildError("non-constructive base (F2)")
     if az or bz:
-        return (A, B, WeightedZ(z)) if az else (B, A, WeightedZ(z))
+        return A, B, WeightedZ(z)
     if labeled_isomorphic(g, A, B):
         if _single_z2(g, A):
             raise BuildError("sides must not be Z/2 (D-infinity base)")
@@ -168,40 +197,18 @@ class Evaluator:
 
 def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
           kind: Kind) -> Evaluator:
-    """Validate the evaluator invariants; the kind must be the one
-    pair_kind gives the pair for the kind's own z and side."""
+    """Validate the evaluator invariants: the cone is A | B, and the kind
+    is the one pair_kind gives the pair for the kind's own z and side
+    (which a Code must name)."""
     cone = frozenset(cone)
     A, B = frozenset(partition[0]), frozenset(partition[1])
-    if not graph.is_expanded():
-        raise BuildError("graph must be expanded")
-    if not A or not B:
-        raise BuildError("partition parts must be nonempty")
-    if A & B:
-        raise BuildError("partition parts overlap")
-    if A | B != cone:
-        raise BuildError("partition must cover the cone exactly")
-    for a in A:
-        for b in B:
-            if graph.adjacent(a, b):
-                raise BuildError("edge between partition sides")
-    if not is_lower_cone(graph, cone):
-        raise BuildError("cone is not a lower cone")
     if not isinstance(kind, Kind):
         raise BuildError(f"unknown kind {kind!r}")
-    z = kind.z
-    if not z or any(n < 1 for n in z):
-        raise BuildError("pattern entries must be positive")
-    if not is_generic(z):
-        raise BuildError(f"pattern {z} is not generic")
-    if isinstance(kind, Code) and kind.side not in ("A", "B"):
+    if isinstance(kind, Code) and kind.side is None:  # asks pair_kind to pick
         raise BuildError("side must be A or B")
-
-    for name, S in (("A", A), ("B", B)):
-        if len(S) > 1 and len(connected_components(graph, S)) > 1:
-            raise BuildError(
-                f"side {name} is a nontrivial free product; "
-                "split it into factors instead")
-    want = pair_kind(graph, A, B, z, getattr(kind, "side", None))
+    if A | B != cone:
+        raise BuildError("partition must cover the cone exactly")
+    want = pair_kind(graph, A, B, kind.z, getattr(kind, "side", None))
     if want != (A, B, kind):
         raise BuildError(f"{type(kind).__name__} does not fit this pair: "
                          f"{_WHY[type(want[2])]}")

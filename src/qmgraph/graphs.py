@@ -169,6 +169,8 @@ class LabeledGraph:
         self.names, self.labels, self.index = names, labels, index
         self.adj, self.n = adj, len(names)
         self.full_mask = (1 << self.n) - 1
+        self._expanded = all(s.is_infinite or s.prime is not None
+                             for s in labels)
         return self
 
     # -- basic structure ---------------------------------------------------
@@ -199,7 +201,7 @@ class LabeledGraph:
         return all(self.adj[i] | (1 << i) == self.full_mask for i in range(self.n))
 
     def is_expanded(self) -> bool:
-        return all(s.is_infinite or s.prime is not None for s in self.labels)
+        return self._expanded
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -489,18 +489,44 @@ def test_partition_edge_is_exit_3(capsys, tmp_path):
     assert "edge between partition sides" in err
 
 
-@pytest.mark.parametrize("label", ["Z", "Z/2"])
+def _joined(label):
+    return [f"vertex a {label}", f"vertex b {label}", "edge a b"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--word", "a"], ["scl", "--word", "a", "--defect-bound", "1"],
+    ["defect"]], ids=["eval", "scl", "defect"])
+@pytest.mark.parametrize("lines, sides, message", [
+    (_joined("Z"), ("a", "b"), "edge between partition sides"),
+    (_joined("Z"), ("a", "a"), "partition parts overlap"),
+    (_joined("Z/2"), ("a", "b"), "edge between partition sides"),
+    (_joined("Z/2"), ("a", "a"), "partition parts overlap"),
+    # isolated Z vertices are ~_tau equivalent: {a, b} leaves out d
+    (["vertex a Z", "vertex b Z", "vertex d Z"], ("a", "b"),
+     "cone is not a lower cone"),
+], ids=["Z-edge", "Z-overlap", "Z/2-edge", "Z/2-overlap", "F2-no-cone"])
 def test_malformed_pair_without_a_kind_gets_the_structural_error(
-        capsys, tmp_path, label):
+        capsys, tmp_path, argv, lines, sides, message):
     # a Z * Z or Z/2 * Z/2 pair has no kind, but a pair that is no free
-    # splitting is reported as such first, as build reports it
-    g = _write(tmp_path, "g.graph", [f"vertex a {label}",
-                                     f"vertex b {label}", "edge a b"])
-    for sides, message in ((("a", "b"), "edge between partition sides"),
-                           (("a", "a"), "partition parts overlap")):
-        code, out, err = run(capsys, "eval", g, "--word", "a", "--partA",
-                             sides[0], "--partB", sides[1])
-        assert (code, out, err) == (3, "", f"error: {message}\n"), sides
+    # splitting of a lower cone is reported as such first, as build
+    # reports it; eval, scl and defect read the pair alike
+    g = _write(tmp_path, "g.graph", lines)
+    code, out, err = run(capsys, argv[0], g, *argv[1:], "--partA", sides[0],
+                         "--partB", sides[1])
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_disconnected_side_is_named_as_weighted_z_orders_the_pair(
+        capsys, tmp_path):
+    # B is a single Z vertex, so WeightedZ makes it side A: the
+    # disconnected --partA is reported as side B
+    g = _write(tmp_path, "g.graph", ["vertex a Z/3", "vertex c Z/3",
+                                     "vertex y Z"])
+    for sides in (("a,c", "y"), ("y", "a,c")):
+        assert run(capsys, "eval", g, "--word", "a", "--partA", sides[0],
+                   "--partB", sides[1]) == (
+            3, "", "error: side B is a nontrivial free product; "
+                   "split it into factors instead\n"), sides
 
 
 def _write(tmp_path, name, lines):

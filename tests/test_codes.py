@@ -342,6 +342,24 @@ def test_cli_inexact_case_matches_cyclic_reduction(params, exact,
     assert _assert_scan_matches_reference(e, x) == 0
 
 
+@pytest.mark.xfail(strict=True, reason="the power scan reads a period "
+                   "that a long pattern breaks only after the scanned "
+                   "powers, and flags the wrong value exact")
+@pytest.mark.parametrize("copies,want", [(8, Fraction(1, 9)),
+                                         (20, Fraction(1, 21))])
+def test_long_pattern_value_is_exact(copies, want):
+    """z = (1, 2, 3)^copies 1 on the word of _half_rate_case: greedy
+    counting on the code (1, 2, 3)^n finds one copy of z every copies + 1
+    periods.  Exact homogenisation passes this test; the marker goes
+    with the scan."""
+    g = expand(edgeless(["Z/5", "Z/3"]))
+    e = build(g, frozenset({0, 1}), (frozenset({0}), frozenset({1})),
+              Code("A", (1, 2, 3) * copies + (1,)))
+    x = parse_word(g, "v0 v1 v0^2 v1 v0^2 v1 v0^3 v1 v0^3 v1 v0^3 v1")
+    assert homog_reference.homog_value(e, x) == want
+    assert evaluate(e, x) == HomogValue(want, True)
+
+
 def _witness_graphs():
     root = resources.files("qmgraph") / "corpus"
     for line in (root / "expected.tsv").read_text().splitlines():

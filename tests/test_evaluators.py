@@ -49,8 +49,9 @@ def test_build_structural_errors():
         build(g, cone, part({0, 1}, {1}), Code("A", Z123))
     with pytest.raises(BuildError, match="cover"):
         build(g, frozenset({0}), part({0}, {1}), Code("A", Z123))
-    with pytest.raises(BuildError, match="side must be A or B"):
-        build(g, cone, part({0}, {1}), Code("C", Z123))
+    for side in ("C", None):
+        with pytest.raises(BuildError, match="side must be A or B"):
+            build(g, cone, part({0}, {1}), Code(side, Z123))
     for z in ((1, 0, 2), ()):
         with pytest.raises(BuildError, match="positive"):
             build(g, cone, part({0}, {1}), Code("A", z))
@@ -194,7 +195,8 @@ def _rule_fits(g, A, B, kind):
 
 def test_pair_kind_matches_the_old_case_rules():
     # the case block build ran kind by kind and the kind decide picked,
-    # against the one rule, on every free pair of 300 seeded graphs
+    # against the one rule, on every free pair of 300 seeded graphs; a
+    # pair whose union is not a lower cone has no kind
     rng = random.Random(20261020)
     kinds = [Code("A", Z123), Code("B", Z123), WeightedZ(Z123),
              SumBothSides(Z123)]
@@ -209,18 +211,21 @@ def test_pair_kind_matches_the_old_case_rules():
                       if rng.random() < density)))
         for A, B in _free_pairs(g):
             pairs += 1
+            if not is_lower_cone(g, A | B):
+                with pytest.raises(BuildError, match="^cone is not a lower "
+                                                     "cone$"):
+                    pair_kind(g, A, B)
+                continue
             try:
                 picked = pair_kind(g, A, B)  # decide's pick
             except BuildError:
                 picked = None
             assert picked == case_rules.kind_for_pair(g, A, B)
-            cone = is_lower_cone(g, A | B)
             for kind in kinds:
                 old = _accepts(case_rules.check_kind, g, A, B, kind)
                 assert _rule_fits(g, A, B, kind) == old, (g.labels, A, B,
                                                           kind)
-                if cone:
-                    assert _accepts(build, g, A | B, (A, B), kind) == old
+                assert _accepts(build, g, A | B, (A, B), kind) == old
                 seen.add((type(kind).__name__, old))
     assert pairs > 4000 and len(seen) == 6, (pairs, seen)
 
