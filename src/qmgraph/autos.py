@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
-from .graphs import GraphError, LabeledGraph, connected_components
+from .graphs import GraphError, LabeledGraph, _bits, connected_components
 from .words import Letter, NormalWord
 
 
@@ -158,48 +158,66 @@ def labelled_isomorphisms(g: LabeledGraph, X: Iterable[int],
     meter raises GraphError.
     """
     fixed = dict(fixed)
-    xs, ys = sorted(X), sorted(Y)
-    n = len(xs)
-    ypos = {t: j for j, t in enumerate(ys)}
-    if (n != len(ys) or not fixed.keys() <= set(xs)
-            or any(t not in ypos for t in fixed.values())):
+    xsorted, ys = sorted(X), sorted(Y)
+    n = len(xsorted)
+    yset = set(ys)
+    if (n != len(ys) or not fixed.keys() <= set(xsorted)
+            or any(t not in yset for t in fixed.values())):
         return
-    xs = list(fixed) + [v for v in xs if v not in fixed]  # placement order
-    out = sorted(range(n), key=xs.__getitem__)  # back to sorted(X) order
-    cands = [(ypos[fixed[v]],) if v in fixed else range(n) for v in xs]
+    xs = list(fixed) + [v for v in xsorted if v not in fixed]  # placement
+    adj, labels = g.adj, g.labels
     xmask = sum(1 << v for v in xs)
     ymask = sum(1 << t for t in ys)
-    xkey = [(g.labels[v], bin(g.adj[v] & xmask).count("1")) for v in xs]
-    ykey = [(g.labels[t], bin(g.adj[t] & ymask).count("1")) for t in ys]
-    adj = g.adj
-    image = [-1] * n  # image[i]: the image of xs[i]
-    used = [False] * n  # by position in ys
+    with_key: dict = {}  # (label, degree in Y) -> the ys that have it
+    for t in ys:
+        key = (labels[t], (adj[t] & ymask).bit_count())
+        with_key[key] = with_key.get(key, 0) | 1 << t
+    # cand[i]: the images xs[i] may take by label, degree and `fixed`
+    cand = [with_key.get((labels[v], (adj[v] & xmask).bit_count()), 0)
+            & (1 << fixed[v] if v in fixed else ymask) for v in xs]
+    before = [0] * (n + 1)  # before[i]: the mask of xs[:i]
+    for i, v in enumerate(xs):
+        before[i + 1] = before[i] | 1 << v
+    image = [0] * g.n  # image[v]: the image of a placed v
     meter = meter or [SEARCH_BUDGET]
-
-    def extend(i: int, placed: int = 0) -> Iterator[tuple[int, ...]]:
-        meter[0] -= 1
-        if meter[0] < 0:
-            raise GraphError(f"search budget exceeded (automorphism search: "
-                             f"{SEARCH_BUDGET} nodes)")
-        if i == n:
-            meter[0] = SEARCH_BUDGET
-            yield tuple(map(image.__getitem__, out))
-            return
-        key, av = xkey[i], adj[xs[i]]
-        nbr_images = sum(1 << image[k] for k in range(i) if av >> xs[k] & 1)
-        for j in cands[i]:
-            if used[j] or ykey[j] != key:
+    # an explicit stack, so the depth is not bounded by Python's: at
+    # depth i, xs[:i] are placed and their images form the mask placed[i],
+    # nbrs[i] is the mask the images of the neighbours of xs[i] among
+    # them must give, and rest[i] holds the candidates for xs[i] not yet
+    # tried, each adjacent to all of nbrs[i]; they are tried in order
+    placed = [0] * (n + 1)
+    nbrs = [0] * n
+    rest = [0] * n
+    i, fresh = 0, True  # fresh: a new node at depth i, else back from i + 1
+    while i >= 0:
+        if fresh:
+            meter[0] -= 1
+            if meter[0] < 0:
+                raise GraphError(f"search budget exceeded (automorphism "
+                                 f"search: {SEARCH_BUDGET} nodes)")
+            if i == n:
+                meter[0] = SEARCH_BUDGET
+                yield tuple(map(image.__getitem__, xsorted))
+                i, fresh = i - 1, False
                 continue
-            t = ys[j]
-            if adj[t] & placed != nbr_images:
-                continue
-            image[i] = t
-            used[j] = True
-            yield from extend(i + 1, placed | 1 << t)
-            used[j] = False
-        image[i] = -1
-
-    yield from extend(0)
+            want, free = 0, cand[i] & ~placed[i]
+            for u in _bits(adj[xs[i]] & before[i]):
+                want |= 1 << image[u]
+                free &= adj[image[u]]
+            nbrs[i] = want
+        else:
+            free = rest[i]
+        p, want = placed[i], nbrs[i]
+        while free:
+            low = free & -free
+            free ^= low
+            t = low.bit_length() - 1
+            if adj[t] & p == want:
+                image[xs[i]], rest[i], placed[i + 1] = t, free, p | low
+                i, fresh = i + 1, True
+                break
+        else:
+            i, fresh = i - 1, False
 
 
 def _check_searchable(g: LabeledGraph) -> None:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 from . import evaluators as ev
 from .autos import SEARCH_BUDGET, labelled_aut_group
 from .evaluators import _single_z, _single_z2
-from .graphs import (GraphError, LabeledGraph, TauClassification,
+from .graphs import (GraphError, LabeledGraph, TauClassification, _bits,
                      component_masks, connected_components, expand,
                      is_lower_cone, lower_cone_L, lower_cone_mask,
                      mask_vertices, tau_classes, vertex_mask, FREE)
@@ -233,27 +233,46 @@ def _decide_raag(g: LabeledGraph, trace: list[str]) -> Verdict:
     return Verdict(UNKNOWN, None, trace, g)
 
 
+def _minimal_pairs(g: LabeledGraph) -> Iterator[tuple]:
+    """The candidate pairs (M, N) of _raag_abelian_classes, M a minimal
+    class and N minimal among the classes inside L_M, both in class order
+    (by least vertex, so lexicographic), but never two single vertices.
+
+    Every label is Z here, so such a pair spans Z * Z, which pair_kind
+    rejects; it is not made: a single-vertex M is paired only with the
+    multi-vertex classes.  L_M
+    is what the stars of M miss, and N is minimal inside it when every
+    other class below N meets those stars.  So each M costs its stars
+    and the classes below each candidate, not a pass over all classes."""
+    tc = g.tau_classification
+    adj, classes, below = g.adj, tc.classes, tc.below
+    masks = [vertex_mask(g, c) for c in classes]
+    every = range(len(classes))
+    multi = [i for i in every if len(classes[i]) > 1]
+    for m in tc.minimal_classes():
+        M = classes[m]
+        stars = 0
+        for v in M:
+            stars |= adj[v] | 1 << v
+        for i in (multi if len(M) == 1 else every):
+            if not masks[i] & stars and all(
+                    masks[j] & stars for j in _bits(below[i] ^ 1 << i)):
+                yield M, classes[i]
+
+
 def _raag_abelian_classes(g: LabeledGraph, trace: list[str]) -> Verdict:
     """All ~_tau classes free abelian: pair each minimal class M with the
-    minimal classes of L_M, in one pass.  No L_M is empty: class members
-    have equal stars, so an empty L_M makes M central, every class lies
-    strongly below it, and M is minimal only as the one class of a
-    complete graph, which decide handles first.
+    minimal classes of L_M, in one pass (_minimal_pairs).  No L_M is
+    empty: class members have equal stars, so an empty L_M makes M
+    central, every class lies strongly below it, and M is minimal only as
+    the one class of a complete graph, which decide handles first.
 
     Some pair is a lower cone, so only a Z * Z pair fails: M' minimal
     under the full <=_tau, and N' so among the classes inside L_M', are
     star-minimal, so a pair.  If x <=_tau n' in N', x not in M', then st(x)
     misses M' (lk(x) lies in st(n')), so x's class is inside L_M': in N'."""
     trace.append("every ~_tau class is free abelian")
-    tc, mins = _classes_in(g, range(g.n))
-    pairs: list[tuple] = []
-    for M in mins:
-        LM = lower_cone_L(g, M)
-        inside = sum(1 << i for i, c in enumerate(tc.classes) if c <= LM)
-        pairs += [(M, N) for N in _sorted_sets(
-            c for i, c in enumerate(tc.classes)
-            if tc.below[i] & inside == 1 << i)]
-    spec = _first_spec(g, pairs, trace,
+    spec = _first_spec(g, _minimal_pairs(g), trace,
                        "minimal pair cone {cone}: Z^{nA} * Z^{nB} ({kind})")
     if spec is not None:
         return Verdict(EXISTS_CONSTRUCTIVE, spec, trace, g)

@@ -44,7 +44,7 @@ from itertools import groupby
 from . import codes
 from .autos import labelled_aut_group, labelled_isomorphisms
 from .codes import HomogValue, homogenise, is_generic
-from .graphs import (LabeledGraph, connected_components, is_lower_cone,
+from .graphs import (LabeledGraph, connected_components, lower_cone_mask,
                      vertex_mask)
 from .words import NormalWord, retraction
 
@@ -103,26 +103,27 @@ def pair_kind(g: LabeledGraph, A: frozenset[int], B: frozenset[int],
     """The evaluator kind of the side pair (A, B), as (A, B, kind): the
     one check of a pair that build, decide and the CLI share.  The pair
     must be a free splitting of the lower cone A | B of the expanded g
-    into connected sides, and z positive and generic.  The kind is
-    WeightedZ when one side is a single Z vertex, which becomes side A;
-    SumBothSides when the sides are isomorphic; else Code, on `side`, or
-    on A unless A is a single Z/2 vertex.  A Z * Z, Z/2 * Z/2 or Z/2
-    code side has no kind."""
+    into connected sides (a vertex outside V is a GraphError), and z
+    positive and generic.  The kind is WeightedZ when one side is a
+    single Z vertex, which becomes side A; SumBothSides when the sides
+    are isomorphic; else Code, on `side`, or on A unless A is a single
+    Z/2 vertex.  A Z * Z, Z/2 * Z/2 or Z/2 code side has no kind."""
     if not g.is_expanded():
         raise BuildError("graph must be expanded")
     if not A or not B:
         raise BuildError("partition parts must be nonempty")
     if A & B:
         raise BuildError("partition parts overlap")
-    bmask = vertex_mask(g, B)
+    amask, bmask = vertex_mask(g, A), vertex_mask(g, B)
     if any(g.adj[a] & bmask for a in A):
         raise BuildError("edge between partition sides")
-    if not is_lower_cone(g, A | B):
+    if not lower_cone_mask(g, amask | bmask):
         raise BuildError("cone is not a lower cone")
-    if not z or any(n < 1 for n in z):
-        raise BuildError("pattern entries must be positive")
-    if not is_generic(z):
-        raise BuildError(f"pattern {z} is not generic")
+    if z != DEFAULT_Z:  # DEFAULT_Z is positive and generic (tested)
+        if not z or any(n < 1 for n in z):
+            raise BuildError("pattern entries must be positive")
+        if not is_generic(z):
+            raise BuildError(f"pattern {z} is not generic")
     if side not in (None, "A", "B"):
         raise BuildError("side must be A or B")
     az, bz = _single_z(g, A), _single_z(g, B)

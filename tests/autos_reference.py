@@ -9,14 +9,18 @@ differential tests in test_autos.py.
   FactorAut per unit of each cyclic order, found by gcd.
 - The `AutGroup.pair_orbit` that searched on pairs of frozensets, used
   before images were keyed by their vertex masks.
+- The recursive `labelled_isomorphisms`, used before the backtracker
+  kept its own stack: one generator per placed vertex, so its depth was
+  bounded by Python's recursion limit.
 """
 
 import math
 import random
 
-from qmgraph.autos import (AutError, AutWord, FactorAut, LabelledGraphAut,
-                           PartialConj, Transvection, validate_gen)
-from qmgraph.graphs import connected_components
+from qmgraph.autos import (SEARCH_BUDGET, AutError, AutWord, FactorAut,
+                           LabelledGraphAut, PartialConj, Transvection,
+                           validate_gen)
+from qmgraph.graphs import GraphError, connected_components
 from qmgraph.words import NormalWord
 
 
@@ -95,3 +99,49 @@ def pair_orbit(group, A, B):
                 reps[q] = tuple(s[v] for v in reps[p])
                 todo.append(q)
     return reps
+
+
+def labelled_isomorphisms(g, X, Y, fixed=(), meter=None):
+    fixed = dict(fixed)
+    xs, ys = sorted(X), sorted(Y)
+    n = len(xs)
+    ypos = {t: j for j, t in enumerate(ys)}
+    if (n != len(ys) or not fixed.keys() <= set(xs)
+            or any(t not in ypos for t in fixed.values())):
+        return
+    xs = list(fixed) + [v for v in xs if v not in fixed]  # placement order
+    out = sorted(range(n), key=xs.__getitem__)  # back to sorted(X) order
+    cands = [(ypos[fixed[v]],) if v in fixed else range(n) for v in xs]
+    xmask = sum(1 << v for v in xs)
+    ymask = sum(1 << t for t in ys)
+    xkey = [(g.labels[v], bin(g.adj[v] & xmask).count("1")) for v in xs]
+    ykey = [(g.labels[t], bin(g.adj[t] & ymask).count("1")) for t in ys]
+    adj = g.adj
+    image = [-1] * n  # image[i]: the image of xs[i]
+    used = [False] * n  # by position in ys
+    meter = meter or [SEARCH_BUDGET]
+
+    def extend(i, placed=0):
+        meter[0] -= 1
+        if meter[0] < 0:
+            raise GraphError(f"search budget exceeded (automorphism search: "
+                             f"{SEARCH_BUDGET} nodes)")
+        if i == n:
+            meter[0] = SEARCH_BUDGET
+            yield tuple(map(image.__getitem__, out))
+            return
+        key, av = xkey[i], adj[xs[i]]
+        nbr_images = sum(1 << image[k] for k in range(i) if av >> xs[k] & 1)
+        for j in cands[i]:
+            if used[j] or ykey[j] != key:
+                continue
+            t = ys[j]
+            if adj[t] & placed != nbr_images:
+                continue
+            image[i] = t
+            used[j] = True
+            yield from extend(i + 1, placed | 1 << t)
+            used[j] = False
+        image[i] = -1
+
+    yield from extend(0)

@@ -1,15 +1,18 @@
-"""The frozenset `find_invariant_cones` that `qmgraph.decide` used before
-it ran the cone search on vertex bitmasks.
+"""Earlier forms of `qmgraph.decide` routines, kept as the oracles of the
+differential tests in test_decide.py.
 
-Kept as the oracle of the differential test in test_decide.py.  It
-builds every class subset as a vertex set, and its lower-cone check and
-components are the set versions of the same era, so it shares no mask
-routine with the search it checks.
+- The frozenset `find_invariant_cones`, used before the cone search ran
+  on vertex bitmasks.  It builds every class subset as a vertex set, and
+  its lower-cone check and components are the set versions of the same
+  era, so it shares no mask routine with the search it checks.
+- The quadratic list of minimal pairs of the right-angled Artin step,
+  used before pairs of two single vertices were dropped: each minimal
+  class M is tested against every class for lying in L_M.
 """
 
 from qmgraph.autos import SEARCH_BUDGET, labelled_aut_group
 from qmgraph.evaluators import _single_z, _single_z2
-from qmgraph.graphs import GraphError
+from qmgraph.graphs import GraphError, lower_cone_L, tau_classes
 
 from graphs_reference import connected_components
 
@@ -64,3 +67,18 @@ def find_invariant_cones(g):
         out.append((cone, comps))
     out.sort(key=lambda p: (len(p[0]), sorted(p[0])))
     return out
+
+
+def minimal_pairs(g):
+    """Each minimal class M with each class minimal among those inside
+    L_M, both sorted by vertex list."""
+    tc = tau_classes(g, range(g.n))
+    pairs = []
+    for M in sorted((tc.classes[i] for i in tc.minimal_classes()),
+                    key=sorted):
+        LM = lower_cone_L(g, M)
+        inside = sum(1 << i for i, c in enumerate(tc.classes) if c <= LM)
+        pairs += [(M, N) for N in sorted(
+            (c for i, c in enumerate(tc.classes)
+             if tc.below[i] & inside == 1 << i), key=sorted)]
+    return pairs

@@ -6,14 +6,16 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import autos_reference as letterwise
 from autos_reference import pair_orbit as frozenset_pair_orbit
-from qmgraph.autos import (AutError, AutWord, FactorAut, LabelledGraphAut,
-                           PartialConj, Transvection, apply_gen,
-                           enum_labelled_graph_autos, labelled_aut_group,
-                           labelled_isomorphisms, random_aut0,
-                           valid_aut0_gens, validate_gen)
+from autos_reference import labelled_isomorphisms as recursive_isomorphisms
+from qmgraph.autos import (SEARCH_BUDGET, AutError, AutWord, FactorAut,
+                           LabelledGraphAut, PartialConj, Transvection,
+                           apply_gen, enum_labelled_graph_autos,
+                           labelled_aut_group, labelled_isomorphisms,
+                           random_aut0, valid_aut0_gens, validate_gen)
 from qmgraph.evaluators import labeled_isomorphic
 from qmgraph.graphs import GraphError, expand, parse_graph, tau_classes
 from qmgraph.words import NormalWord, parse_word, random_word
@@ -96,6 +98,54 @@ def test_lga_search_budget_refills_at_each_map(monkeypatch):
         with pytest.raises(GraphError, match=r"^search budget exceeded "
                            r"\(automorphism search: 5 nodes\)$"):
             search(five)
+
+
+@st.composite
+def _iso_cases(draw):
+    """A graph of up to 8 vertices, two vertex sets of one size and a
+    fixed partial map, possibly empty."""
+    labels = draw(st.lists(st.sampled_from(["Z", "Z/2", "Z/3"]),
+                           min_size=1, max_size=8))
+    n = len(labels)
+    g = expand(parse_graph(
+        "".join(f"vertex v{i} {lab}\n" for i, lab in enumerate(labels))
+        + "".join(f"edge v{i} v{j}\n" for i in range(n)
+                  for j in range(i + 1, n) if draw(st.booleans()))))
+    k = draw(st.integers(1, n))
+    xs = draw(st.permutations(range(n)))[:k]
+    ys = draw(st.one_of(st.just(xs), st.permutations(range(n))))[:k]
+    m = draw(st.integers(0, min(k, 2)))
+    return g, xs, ys, list(zip(xs[:m], draw(st.permutations(ys))[:m]))
+
+
+class _LoggedMeter(list):
+    """A search meter that logs every value it is set to: one per node
+    spent and one per refill."""
+
+    def __init__(self):
+        super().__init__([SEARCH_BUDGET])
+        self.log = []
+
+    def __setitem__(self, i, value):
+        self.log.append(value)
+        super().__setitem__(i, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_iso_cases())
+def test_labelled_isomorphisms_match_recursive_version(case):
+    # the same maps in the same order, found after the same nodes
+    g, xs, ys, fixed = case
+    for f in ([], fixed):
+        meters = _LoggedMeter(), _LoggedMeter()
+        assert (list(labelled_isomorphisms(g, xs, ys, f, meters[0]))
+                == list(recursive_isomorphisms(g, xs, ys, f, meters[1])))
+        assert meters[0].log == meters[1].log
+
+
+def test_aut_group_of_a_long_cycle_needs_no_recursion():
+    # the backtracker keeps its own stack: 1200 placed vertices deep
+    assert labelled_aut_group(expand(ngon(1200, "Z/3"))).order == 2400
 
 
 def test_search_budget_stops_hard_graphs():

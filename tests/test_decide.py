@@ -10,11 +10,12 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmgraph import evaluators
 from qmgraph.cli import main
 from qmgraph.decide import (ABELIAN, EXISTS_CONSTRUCTIVE,
                             EXISTS_NONCONSTRUCTIVE, FINITE, PROVABLY_NONE,
-                            UNKNOWN, Verdict, WitnessSpec, decide,
-                            find_invariant_cones, witness)
+                            UNKNOWN, Verdict, WitnessSpec, _minimal_pairs,
+                            decide, find_invariant_cones, witness)
 from qmgraph.evaluators import Code, WeightedZ, average, build, evaluate
 from qmgraph.graphs import GraphError, expand, is_lower_cone, parse_graph
 from qmgraph.words import NormalWord
@@ -276,6 +277,58 @@ def mixed_graphs(draw):
 @given(mixed_graphs())
 def test_cone_search_matches_frozenset_version(g):
     _assert_same_cones(g)
+
+
+# -- minimal pairs of the right-angled Artin step ----------------------------
+
+def _assert_pairs_without_z_z(g):
+    want = [(M, N) for M, N in decide_reference.minimal_pairs(g)
+            if len(M) > 1 or len(N) > 1]
+    assert list(_minimal_pairs(g)) == want
+
+
+def test_minimal_pairs_match_quadratic_list_on_seeded_graphs():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        density = rng.uniform(0.1, 0.9)
+        _assert_pairs_without_z_z(_graph(
+            ["Z"] * n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if rng.random() < density]))
+
+
+@st.composite
+def all_z_graphs(draw):
+    n = draw(st.integers(1, 9))
+    return _graph(["Z"] * n, [(i, j) for i in range(n)
+                              for j in range(i + 1, n)
+                              if draw(st.booleans())])
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_z_graphs())
+def test_minimal_pairs_match_quadratic_list(g):
+    _assert_pairs_without_z_z(g)
+
+
+def test_all_z_ngon_tries_no_pair(monkeypatch):
+    # every class of an all-Z n-gon (n >= 5) is one vertex, so every
+    # minimal pair spans Z * Z and none is made, let alone tried
+    calls = []
+    real = evaluators.pair_kind
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluators, "pair_kind", counting)
+    v = decide(lambda_raag())  # the counter sees decide's calls
+    assert v.status == EXISTS_CONSTRUCTIVE and calls
+    calls.clear()
+    v = decide(ngon(512, "Z"))
+    assert calls == []
+    assert v.status == EXISTS_NONCONSTRUCTIVE
+    assert v.trace[-1].startswith("only Z * Z minimal pairs available")
 
 
 # -- every constructive spec builds -------------------------------------------

@@ -11,12 +11,12 @@ from hypothesis import assume, example, given, settings
 import evaluators_reference as case_rules
 from qmgraph.autos import (LabelledGraphAut, apply_gen,
                            enum_labelled_graph_autos, labelled_aut_group)
-from qmgraph.codes import HomogValue, homogenise
-from qmgraph.evaluators import (BuildError, Code, Evaluator, SumBothSides,
-                                WeightedZ, average, build, evaluate,
-                                labeled_isomorphic, pair_kind)
-from qmgraph.graphs import (connected_components, expand, is_lower_cone,
-                            parse_graph)
+from qmgraph.codes import HomogValue, homogenise, is_generic
+from qmgraph.evaluators import (DEFAULT_Z, BuildError, Code, Evaluator,
+                                SumBothSides, WeightedZ, average, build,
+                                evaluate, labeled_isomorphic, pair_kind)
+from qmgraph.graphs import (GraphError, connected_components, expand,
+                            is_lower_cone, parse_graph)
 from qmgraph.words import NormalWord, parse_word, retraction
 
 from conftest import (LABELS, averaged_cases, brute_force_stabilizer_count,
@@ -91,6 +91,23 @@ def test_build_rejects_non_lower_cone():
     # v0 sits below v1, so {v1, v3} is not downward closed
     with pytest.raises(BuildError, match="lower cone"):
         build(g, frozenset({1, 3}), part({1}, {3}), Code("A", Z123))
+
+
+def test_pair_kind_checks_the_sides_lie_in_v():
+    # both side masks are made before an adjacency row is read
+    with pytest.raises(GraphError, match=r"^vertex set not contained in V$"):
+        pair_kind(z5z3(), frozenset({7}), frozenset({0}))
+    # on a-b, c the row adj[-2] is b's, which meets B = {a}
+    g = expand(parse_graph("vertex a Z/3\nvertex b Z/3\nvertex c Z/3\n"
+                           "edge a b"))
+    with pytest.raises(GraphError, match=r"^vertex set not contained in V$"):
+        pair_kind(g, frozenset({-2}), frozenset({0}))
+
+
+def test_default_pattern_is_positive_and_generic():
+    # pair_kind tests neither for DEFAULT_Z
+    assert DEFAULT_Z and all(n >= 1 for n in DEFAULT_Z)
+    assert is_generic(DEFAULT_Z)
 
 
 def test_build_f2_base_is_hard_error():
