@@ -272,33 +272,28 @@ class AutGroup:
         return out
 
     def pair_orbit(self, A: frozenset[int], B: frozenset[int]
-                   ) -> dict[tuple[frozenset[int], frozenset[int]], Perm]:
-        """The orbit of the ordered pair (A, B): each image (rho A, rho B)
-        with one automorphism rho that sends (A, B) there: (A, B) with the
-        identity first, then breadth first.  Images are keyed by their two
-        vertex masks, so the search costs |orbit| * |gens| mask images of
-        |A| + |B| bits and one composition per image, and each frozenset
-        pair is built once."""
-        A, B = list(A), list(B)
-        rho = tuple(range(self.n))
+                   ) -> list[tuple[frozenset[int], frozenset[int]]]:
+        """The orbit of the ordered pair (A, B): each image (rho A, rho B),
+        (A, B) first, then breadth first.  An image is held as two vertex
+        lists and keyed by their two vertex masks, so the search costs
+        |orbit| * |gens| images of |A| + |B| points, composes no
+        automorphism, and builds each frozenset pair once."""
         seen = {(sum(1 << v for v in A), sum(1 << v for v in B))}
-        todo = [rho]
-        for rho in todo:
-            rA, rB = [rho[v] for v in A], [rho[v] for v in B]
+        todo = [(list(A), list(B))]
+        for rA, rB in todo:
             for s in self.gens:
                 key = (sum(1 << s[v] for v in rA), sum(1 << s[v] for v in rB))
                 if key not in seen:
                     seen.add(key)
-                    todo.append(tuple(s[v] for v in rho))  # s after rho
-        return {(frozenset(rho[v] for v in A), frozenset(rho[v] for v in B)):
-                rho for rho in todo}
+                    todo.append(([s[v] for v in rA], [s[v] for v in rB]))
+        return [(frozenset(rA), frozenset(rB)) for rA, rB in todo]
 
 
 def _refined_colours(g: LabeledGraph) -> list[int]:
     """Colour refinement: colour the vertices by label, then split each
     colour class by the multiset of neighbour colours until no class
     splits.  Labelled graph automorphisms preserve the colours."""
-    nbrs = [[u for u in range(g.n) if g.adj[v] >> u & 1] for v in range(g.n)]
+    nbrs = [list(_bits(g.adj[v])) for v in range(g.n)]
     ids: dict = {}
     colour = [ids.setdefault(lab, len(ids)) for lab in g.labels]
     while True:

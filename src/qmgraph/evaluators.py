@@ -15,9 +15,11 @@ rho^-1 r_{rho C}(x).  So f_{A,B}(rho^-1 x) = f_{rho A, rho B}(x), with
 the same homogenised value and exactness.  As sigma runs over Aut,
 sigma^-1 (A, B) meets each image |J| = |Aut| / |orbit| times (J fixes A
 and B), so the sum is |J| times the sum of each image's own f at x.
-average() finds the images (rho C, (rho A, rho B)) and |J| in one orbit
-search of autos.labelled_aut_group, as the evaluator's images and
-multiplicity.
+build makes C = A | B, so rho C = rho A | rho B, and each term needs
+the image pair alone: average() finds the images (rho A | rho B,
+(rho A, rho B)) and |J| in one orbit search of the pair under
+autos.labelled_aut_group, as the evaluator's images and multiplicity,
+and composes no automorphism.
 
 A retracted word w with at most two syllables in W_A * W_B homogenises
 to 0 without the power scan.  Such a w is e, lies in W_A or W_B, or is
@@ -218,13 +220,14 @@ def build(graph: LabeledGraph, cone: frozenset[int], partition: Pair,
 
 def average(e: Evaluator) -> Evaluator:
     """The evaluator summing over all labelled graph automorphisms: |J|
-    times one term per image of (A, B), with (A, B) first."""
+    times one term per image of (A, B), with (A, B) first.  e is a built
+    evaluator, so its cone is A | B and each image's cone is its pair's
+    union."""
     group = labelled_aut_group(e.graph)
     orbit = group.pair_orbit(*e.partition)
     out = Evaluator(e.graph, e.cone, e.partition, e.kind)
     out.multiplicity = group.order // len(orbit)
-    out.images = tuple((frozenset(rho[v] for v in e.cone), pair)
-                       for pair, rho in orbit.items())
+    out.images = tuple((A | B, (A, B)) for A, B in orbit)
     return out
 
 

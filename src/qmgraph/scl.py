@@ -53,14 +53,14 @@ def _cone_word(e: Evaluator, rng: random.Random, max_len: int) -> NormalWord:
     g = e.graph
     A, B = e.partition
     side = rng.choice([0, 1])
-    w = NormalWord.identity(g)
+    letters = []
     for _ in range(rng.randrange(1, max_len + 1)):
         v = rng.choice(sorted(A) if side == 0 else sorted(B))
         order = g.labels[v].order
         exp = rng.randrange(1, order) if order else rng.choice([1, 2, -1])
-        w = w * NormalWord.letter(g, v, exp)
+        letters.append((v, exp))
         side ^= 1
-    return w
+    return NormalWord(g, letters)
 
 
 def estimate_defect(e: Evaluator, samples: int, max_len: int,

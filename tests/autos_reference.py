@@ -7,8 +7,10 @@ differential tests in test_autos.py.
 - The list `valid_aut0_gens` and the `random_aut0` that drew from it,
   used before the factor automorphisms were kept implicit: one
   FactorAut per unit of each cyclic order, found by gcd.
-- The `AutGroup.pair_orbit` that searched on pairs of frozensets, used
-  before images were keyed by their vertex masks.
+- The `AutGroup.pair_orbit` that searched on pairs of frozensets and
+  kept, for each image, one automorphism rho that sends (A, B) there,
+  used before images were keyed by their vertex masks and before the
+  search stopped composing automorphisms.
 - The recursive `labelled_isomorphisms`, used before the backtracker
   kept its own stack: one generator per placed vertex, so its depth was
   bounded by Python's recursion limit.

@@ -167,8 +167,10 @@ def test_search_budget_stops_hard_graphs():
 
 
 def test_aut_group_matches_brute_force():
-    """|Aut|, the vertex orbits and the orbit of a side pair, with its
-    representatives, against all permutations of seeded graphs."""
+    """|Aut|, the vertex orbits and the orbit of a side pair against all
+    permutations of seeded graphs; the orbit comes in the order of the
+    search that keeps one automorphism per image, whose automorphisms
+    send (A, B) there."""
     rng = random.Random(11)
     for _ in range(120):
         n = rng.randint(1, 6)
@@ -186,8 +188,10 @@ def test_aut_group_matches_brute_force():
         A = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
         B = frozenset(rng.sample(range(g.n), rng.randint(0, g.n)))
         image = lambda p, S: frozenset(p[v] for v in S)
-        reps = group.pair_orbit(A, B)
-        assert set(reps) == {(image(p, A), image(p, B)) for p in perms}
+        orbit = group.pair_orbit(A, B)
+        assert set(orbit) == {(image(p, A), image(p, B)) for p in perms}
+        reps = frozenset_pair_orbit(group, A, B)
+        assert orbit == list(reps)
         for (pA, pB), rho in reps.items():
             assert rho in perms
             assert (image(rho, A), image(rho, B)) == (pA, pB)
@@ -216,12 +220,11 @@ def test_star_group_has_k_minus_1_generators(k):
     group = labelled_aut_group(g)
     assert group.order == math.factorial(k)
     assert len(group.gens) <= k - 1
-    A, B = frozenset({1}), frozenset({2})
-    reps = group.pair_orbit(A, B)
-    assert len(reps) == k * (k - 1)
-    for (pA, pB), rho in reps.items():
-        assert validate_gen(g, LabelledGraphAut(rho))[0]
-        assert ({rho[v] for v in A}, {rho[v] for v in B}) == (pA, pB)
+    orbit = group.pair_orbit(frozenset({1}), frozenset({2}))
+    leaves = range(1, k + 1)
+    assert len(orbit) == k * (k - 1)
+    assert set(orbit) == {(frozenset({a}), frozenset({b}))
+                          for a in leaves for b in leaves if a != b}
 
 
 _PAIRS5 = list(itertools.combinations(range(5), 2))
@@ -287,7 +290,8 @@ def _pair_orbit_graphs():
 
 def test_pair_orbit_matches_frozenset_search():
     """The orbit of side pairs of several vertices, past the 8 vertices a
-    brute force reaches, against the search on frozenset pairs."""
+    brute force reaches, against the search on frozenset pairs that keeps
+    one automorphism per image: the same pairs in the same order."""
     rng = random.Random(19)
     for g in _pair_orbit_graphs():
         group = labelled_aut_group(g)
@@ -295,9 +299,11 @@ def test_pair_orbit_matches_frozenset_search():
             A = frozenset(rng.sample(range(g.n), rng.randint(2, 4)))
             B = frozenset(rng.sample(sorted(set(range(g.n)) - A),
                                      rng.randint(1, 4)))
-            reps = group.pair_orbit(A, B)
-            assert set(reps) == set(frozenset_pair_orbit(group, A, B))
-            assert next(iter(reps.items())) == ((A, B), tuple(range(g.n)))
+            orbit = group.pair_orbit(A, B)
+            reps = frozenset_pair_orbit(group, A, B)
+            assert set(orbit) == set(reps)
+            assert orbit == list(reps)
+            assert orbit[0] == (A, B)
             for (pA, pB), rho in reps.items():
                 assert validate_gen(g, LabelledGraphAut(rho))[0]
                 assert ({rho[v] for v in A}, {rho[v] for v in B}) == (pA, pB)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 import evaluators_reference as case_rules
+from autos_reference import pair_orbit as reference_pair_orbit
 from qmgraph.autos import (LabelledGraphAut, apply_gen,
                            enum_labelled_graph_autos, labelled_aut_group)
 from qmgraph.codes import HomogValue, homogenise, is_generic
@@ -475,5 +476,38 @@ def test_averaged_evaluate_sums_over_right_cosets():
                                       e.cone), e.partition)
     assert (f((0, 1, 3, 4, 2, 5, 6)), f((0, 1, 4, 2, 3, 5, 6))) == (
         HomogValue(Fraction(1), True), HomogValue(Fraction(0), True))
-    reps = labelled_aut_group(e.graph).pair_orbit(*e.partition).values()
-    assert a.multiplicity * sum(f(rho).value for rho in reps) == 4
+    reps = reference_pair_orbit(labelled_aut_group(e.graph), *e.partition)
+    assert a.multiplicity * sum(f(rho).value for rho in reps.values()) == 4
+
+
+def test_average_images_are_the_pair_orbit():
+    """average's images are (A | B, (A, B)) over the orbit of the pair,
+    and each image's cone is where the automorphism that the reference
+    orbit search keeps for its pair sends the cone."""
+    cases = [_coset_case()[0]]
+    square = expand(ngon(4, "Z/3"))
+    cases.append(build(square, frozenset({0, 2}), part({0}, {2}),
+                       SumBothSides(Z123)))
+    raag = expand(figure1_raag())
+    cases.append(Evaluator(raag, frozenset({0, 4}), part({0}, {4}),
+                           SumBothSides(Z123)))
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        g = expand(parse_graph(
+            "".join(f"vertex v{i} {rng.choice(['Z', 'Z/2', 'Z/3'])}\n"
+                    for i in range(n))
+            + "".join(f"edge v{i} v{j}\n" for i in range(n)
+                      for j in range(i + 1, n) if rng.random() < 0.4)))
+        vs = rng.sample(range(g.n), rng.randint(2, g.n))
+        k = rng.randint(1, len(vs) - 1)
+        A, B = frozenset(vs[:k]), frozenset(vs[k:])
+        cases.append(Evaluator(g, A | B, (A, B), Code("A", Z123)))
+    for e in cases:
+        group = labelled_aut_group(e.graph)
+        orbit = group.pair_orbit(*e.partition)
+        a = average(e)
+        assert a.images == tuple((A | B, (A, B)) for A, B in orbit)
+        reps = reference_pair_orbit(group, *e.partition)
+        for cone, pair in a.images:
+            assert cone == frozenset(reps[pair][v] for v in e.cone)

@@ -1,11 +1,14 @@
 """Defect estimation and the scl lower bound."""
 
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from qmgraph import scl
 from qmgraph.codes import HomogValue
+from qmgraph.decide import decide
 from qmgraph.evaluators import (Code, Evaluator, WeightedZ, average, build,
                                 evaluate)
 from qmgraph.graphs import GraphError, expand, parse_graph
@@ -99,7 +102,6 @@ def test_sampled_defect_regression_z5z3():
 
 
 def test_sampled_defect_regression_pentagon():
-    from qmgraph.decide import decide
     v = decide(ngon(5, "Z/2"))
     spec = v.witness
     e = build(v.graph, spec.cone, spec.partition, spec.kind)
@@ -110,6 +112,46 @@ def test_sampled_defect_regression_pentagon():
     e = average(build(v.graph, spec.cone, spec.partition, spec.kind))
     d = estimate_defect(e, samples=40, max_len=8, seed=1)
     assert (d.empirical_max, d.skipped) == (2, 0)
+
+
+def _cone_word_letterwise(e, rng, max_len):
+    """scl._cone_word's draws, with the word built one product per
+    letter."""
+    g = e.graph
+    A, B = e.partition
+    side = rng.choice([0, 1])
+    w = NormalWord.identity(g)
+    for _ in range(rng.randrange(1, max_len + 1)):
+        v = rng.choice(sorted(A) if side == 0 else sorted(B))
+        order = g.labels[v].order
+        exp = rng.randrange(1, order) if order else rng.choice([1, 2, -1])
+        w = w * NormalWord.letter(g, v, exp)
+        side ^= 1
+    return w
+
+
+def test_cone_word_equals_the_letter_by_letter_product():
+    """The cone word is normalised once, from all its letters: the same
+    word and the same draws as multiplying in one letter at a time, over
+    every constructive corpus witness."""
+    root = resources.files("qmgraph") / "corpus"
+    witnesses = 0
+    for path in sorted(root.iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".graph"):
+            continue
+        v = decide(parse_graph(path.read_text()))
+        if v.witness is None:
+            continue
+        witnesses += 1
+        spec = v.witness
+        e = build(v.graph, spec.cone, spec.partition, spec.kind)
+        for seed in range(20):
+            got, want = random.Random(seed), random.Random(seed)
+            for max_len in (1, 3, 8, 14):
+                assert (scl._cone_word(e, got, max_len)
+                        == _cone_word_letterwise(e, want, max_len))
+                assert got.getstate() == want.getstate()
+    assert witnesses == 14
 
 
 def test_exhaustive_defect_short_words_is_zero():
